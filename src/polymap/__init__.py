@@ -10,7 +10,6 @@ from .curvature_light import (
     LIGHT_TABLE,
     UNBOUNDED,
     VERTEX_FACTOR,
-    CurvatureValue,
     LightPattern,
     TheoremScan,
     curvature,
@@ -64,6 +63,7 @@ from .transferability import (
     find_stuck,
     is_n_transferable,
     longest_path_bound,
+    n_verdict,
     steps,
     transferability,
 )

@@ -21,10 +21,11 @@ from .generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
 from .mapfile import parse_map, serialize_map
 from .report import (curvature_section, discharge_section, light_section,
                      render_json, render_text, stuck_section,
-                     topology_section, transfer_section, validity_section)
+                     topology_section, transfer_section, validity_section,
+                     verdict_row)
 from .surface_map import topology
 from .transferability import (DEFAULT_BUDGET, build_transfer_digraph,
-                              find_stuck, transferability)
+                              find_stuck, n_verdict, transferability)
 from .validity import check_polyhedral
 
 __all__ = ["main"]
@@ -52,35 +53,34 @@ def main(argv=None):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="state budget for search commands")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; current commands are deterministic")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="state budget for the search")
 
     parser = argparse.ArgumentParser(
         prog="polymap",
         description="Analyze maps on surfaces given as signed rotation systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[report],
                        help="topology, validity, curvature and light vertices")
     p.add_argument("file", help="map file, or - for stdin")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[report],
                        help="validity only; exit 0 iff polyhedral")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("discharge", parents=[common],
+    p = sub.add_parser("discharge", parents=[report],
                        help="run the discharging rules with ledger and audits")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_discharge)
 
-    p = sub.add_parser("transfer", parents=[common],
+    p = sub.add_parser("transfer", parents=[report, search],
                        help="path transferability of the underlying graph")
     p.add_argument("file")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -91,7 +91,7 @@ def _build_parser():
                    help="upper bound for --sweep (default: longest path)")
     p.set_defaults(handler=_cmd_transfer)
 
-    p = sub.add_parser("stuck", parents=[common],
+    p = sub.add_parser("stuck", parents=[report, search],
                        help="search for a path with no legal move")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
@@ -99,7 +99,7 @@ def _build_parser():
                    help="vertex to search around first")
     p.set_defaults(handler=_cmd_stuck)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen",
                        help="write a generated map in the file format")
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="*", type=int,
@@ -108,7 +108,7 @@ def _build_parser():
                    help="truncate the generated map")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("export-digraph", parents=[common],
+    p = sub.add_parser("export-digraph", parents=[report, search],
                        help="emit the transfer digraph in DOT format")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
@@ -166,18 +166,9 @@ def _cmd_discharge(args):
 def _cmd_transfer(args):
     graph = _read_map(args).adjacency()
     if args.n is not None:
-        digraph = build_transfer_digraph(graph, args.n, args.budget)
-        if digraph.state_count == 0:
-            verdict = {"n": args.n, "transferable": False,
-                       "reason": "no-n-path", "states": 0, "sccs": 0}
-        else:
-            summary = digraph.scc_summary()
-            ok = summary.count == 1
-            verdict = {"n": args.n, "transferable": ok,
-                       "reason": "" if ok else "not-strongly-connected",
-                       "states": digraph.state_count, "sccs": summary.count}
-        _emit(args, {"transfer": verdict})
-        return 0 if verdict["transferable"] else 1
+        verdict = n_verdict(graph, args.n, args.budget)
+        _emit(args, {"transfer": verdict_row(verdict)})
+        return 0 if verdict.transferable else 1
     result = transferability(graph, args.max_n, args.budget)
     _emit(args, {"transfer": transfer_section(result)})
     return 3 if result.truncated_at is not None else 0

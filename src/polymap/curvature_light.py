@@ -31,7 +31,6 @@ __all__ = [
     "DEGREE_CAP",
     "LIGHT_TABLE",
     "UNBOUNDED",
-    "CurvatureValue",
     "LightPattern",
     "TheoremScan",
     "curvature",
@@ -49,13 +48,6 @@ DEGREE_CAP = 2518
 VERTEX_FACTOR = 126
 
 UNBOUNDED = math.inf
-
-
-@dataclass(frozen=True)
-class CurvatureValue:
-    """Exact curvature of one vertex."""
-
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -159,12 +151,12 @@ def curvature(top, v):
     total = 1 - Fraction(top.vertex_degrees[v], 2)
     for f in top.vertex_faces[v]:
         total += Fraction(1, top.face_degrees[f])
-    return CurvatureValue(value=total)
+    return total
 
 
 def gauss_bonnet_sum(top):
     """Sum of Phi over all vertices; equals chi exactly."""
-    return sum((curvature(top, v).value for v in top.rs.vertices),
+    return sum((curvature(top, v) for v in top.rs.vertices),
                Fraction(0))
 
 

@@ -19,12 +19,18 @@ vertex ids must not contain ``:``.
 
 from __future__ import annotations
 
+import re
+
 from .errors import MapFormatError, StructureError
 from .surface_map import RotationSystem
 
 __all__ = ["parse_map", "serialize_map"]
 
 _SIGNS = {"+": 1, "-": -1, "−": -1}
+
+# Characters that would end an id early or start a comment.
+_BAD_VERTEX_ID = re.compile(r"[\s#:]")
+_BAD_EDGE_ID = re.compile(r"[\s#]")
 
 
 def parse_map(text):
@@ -81,7 +87,19 @@ def parse_map(text):
 
 
 def serialize_map(rs):
-    """Render a RotationSystem in the text format, scan-order signs."""
+    """Render a RotationSystem in the text format, scan-order signs.
+
+    Raises StructureError for an id the format cannot carry, rather
+    than writing a file that ``parse_map`` would reject.
+    """
+    for kind, ids, bad in (("vertex", rs.vertices, _BAD_VERTEX_ID),
+                           ("edge", rs.edges, _BAD_EDGE_ID)):
+        for ident in ids:
+            if ident == "" or bad.search(str(ident)):
+                raise StructureError(
+                    "%s id %r cannot be written: ids must be non-empty and "
+                    "free of whitespace and '#', vertex ids also of ':'"
+                    % (kind, ident))
     seen = set()
     lines = []
     for v in rs.vertices:

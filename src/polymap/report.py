@@ -24,6 +24,7 @@ __all__ = [
     "light_section",
     "discharge_section",
     "transfer_section",
+    "verdict_row",
     "stuck_section",
     "render_text",
     "render_json",
@@ -60,7 +61,7 @@ def validity_section(report):
 
 def curvature_section(top):
     return {
-        "vertex_curvature": {v: fraction_str(curvature(top, v).value)
+        "vertex_curvature": {v: fraction_str(curvature(top, v))
                              for v in top.rs.vertices},
         "total": fraction_str(gauss_bonnet_sum(top)),
     }
@@ -117,15 +118,16 @@ def transfer_section(result):
         "value": result.value,
         "search_bound": result.search_bound,
         "truncated_at": result.truncated_at,
-        "per_n": [
-            {"n": r.n,
-             "transferable": r.transferable,
-             "reason": r.reason,
-             "states": r.state_count,
-             "sccs": r.scc_count}
-            for r in result.per_n
-        ],
+        "per_n": [verdict_row(r) for r in result.per_n],
     }
+
+
+def verdict_row(verdict):
+    return {"n": verdict.n,
+            "transferable": verdict.transferable,
+            "reason": verdict.reason,
+            "states": verdict.state_count,
+            "sccs": verdict.scc_count}
 
 
 def stuck_section(witness, n, anchor):

@@ -208,58 +208,52 @@ class FacialWalk:
     degree: int
 
 
-class _Trace:
-    """Raw two-sided face trace: orbits over (dart, side) states."""
+def _trace_walks(rs):
+    """Raw two-sided face trace: orbits over (dart, side) states.
 
-    def __init__(self, rs):
-        self.rs = rs
-        step = self._step
-        states = [(d, s) for d in sorted(rs._dart_vertex) for s in (1, -1)]
-        orbit_of = {}
-        orbits = []
-        for start in states:
-            if start in orbit_of:
-                continue
-            orbit = []
-            cur = start
-            while cur not in orbit_of:
-                orbit_of[cur] = len(orbits)
-                orbit.append(cur)
-                cur = step(cur)
-            if cur != start:
-                raise StructureError("face trace did not close at %r" % (cur,))
-            orbits.append(orbit)
-        # Every face is traced once per side; mirror orbits are paired
-        # and the one with the smaller canonical start is kept.
-        emitted = []
-        for i, orbit in enumerate(orbits):
-            j = orbit_of[self._mirror(orbit[0])]
-            if j == i:
-                raise StructureError("facial walk is its own mirror image")
-            if i < j:
-                emitted.append(min(i, j, key=lambda k: min(map(_state_key, orbits[k]))))
-        walks = []
-        for i in emitted:
-            orbit = orbits[i]
-            k = min(range(len(orbit)), key=lambda t: _state_key(orbit[t]))
-            walks.append(orbit[k:] + orbit[:k])
-        walks.sort(key=lambda walk: (min(d for d, _ in walk), walk[0]))
-        self.walks = walks
+    Returns one orbit per face, each rotated to its smallest state and
+    ordered by smallest dart.
+    """
+    sig, vertex_of, pos = rs.signature, rs._dart_vertex, rs._dart_pos
 
-    def _step(self, state):
+    def step(state):
         d, side = state
-        rs = self.rs
-        side = side * rs.signature[d.edge]
+        side = side * sig[d.edge]
         opp = d.opposite()
-        w = rs._dart_vertex[opp]
-        rot = rs.rotation[w]
-        j = rs._dart_pos[opp]
-        nxt = rot[(j + side) % len(rot)]
-        return (nxt, side)
+        rot = rs.rotation[vertex_of[opp]]
+        return (rot[(pos[opp] + side) % len(rot)], side)
 
-    def _mirror(self, state):
-        d, side = state
-        return (d.opposite(), -side * self.rs.signature[d.edge])
+    orbit_of = {}
+    orbits = []
+    for start in ((d, s) for d in sorted(vertex_of) for s in (1, -1)):
+        if start in orbit_of:
+            continue
+        orbit = []
+        cur = start
+        while cur not in orbit_of:
+            orbit_of[cur] = len(orbits)
+            orbit.append(cur)
+            cur = step(cur)
+        if cur != start:
+            raise StructureError("face trace did not close at %r" % (cur,))
+        orbits.append(orbit)
+    # Every face is traced once per side; mirror orbits are paired
+    # and the one with the smaller canonical start is kept.
+    emitted = []
+    for i, orbit in enumerate(orbits):
+        d, side = orbit[0]
+        j = orbit_of[(d.opposite(), -side * sig[d.edge])]
+        if j == i:
+            raise StructureError("facial walk is its own mirror image")
+        if i < j:
+            emitted.append(min(i, j, key=lambda k: min(map(_state_key, orbits[k]))))
+    walks = []
+    for i in emitted:
+        orbit = orbits[i]
+        k = min(range(len(orbit)), key=lambda t: _state_key(orbit[t]))
+        walks.append(orbit[k:] + orbit[:k])
+    walks.sort(key=lambda walk: (min(d for d, _ in walk), walk[0]))
+    return walks
 
 
 def _state_key(state):
@@ -268,21 +262,13 @@ def _state_key(state):
 
 
 def trace_faces(rs):
-    """Trace all facial walks of ``rs``.
+    """All facial walks of ``rs``: the faces of :func:`topology`.
 
     Every ``(dart, side)`` pair is consumed exactly once over the full
     two-sided trace; each face is kept in one canonical direction.
     Faces are returned ordered by their smallest contained dart.
     """
-    walks = []
-    for states in _Trace(rs).walks:
-        darts = tuple(d for d, _ in states)
-        walks.append(FacialWalk(
-            darts=darts,
-            vertex_sequence=tuple(rs.dart_vertex(d) for d in darts),
-            degree=len(darts),
-        ))
-    return walks
+    return list(topology(rs).faces)
 
 
 class MapTopology:
@@ -303,11 +289,10 @@ class MapTopology:
 
     def __init__(self, rs):
         self.rs = rs
-        trace = _Trace(rs)
         walks = []
         corner = {v: [None] * rs.degree(v) for v in rs.vertices}
         edge_faces = {e: [] for e in rs.edges}
-        for idx, states in enumerate(trace.walks):
+        for idx, states in enumerate(_trace_walks(rs)):
             darts = tuple(d for d, _ in states)
             walks.append(FacialWalk(
                 darts=darts,

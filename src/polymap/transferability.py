@@ -38,6 +38,7 @@ __all__ = [
     "steps",
     "enumerate_paths",
     "build_transfer_digraph",
+    "n_verdict",
     "is_n_transferable",
     "transferability",
     "find_stuck",
@@ -175,11 +176,10 @@ def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
 
 @dataclass(frozen=True)
 class SccSummary:
-    """Strong components of a transfer digraph and their condensation."""
+    """How many strong components a transfer digraph has, and how big."""
 
     count: int
     sizes: tuple  # descending
-    condensation_arcs: frozenset  # (component, component) pairs
 
 
 class TransferDigraph:
@@ -194,7 +194,6 @@ class TransferDigraph:
     def __init__(self, space, n, states):
         self._space = space
         self.n = n
-        self.vertex_names = space.names
         self._states = states
         self._index = {p: i for i, p in enumerate(states)}
         targets = array("l")
@@ -219,10 +218,6 @@ class TransferDigraph:
     def state_at(self, i):
         return self._space.decode(self._states[i])
 
-    def iter_states(self):
-        for p in self._states:
-            yield self._space.decode(p)
-
     def index_of(self, path):
         try:
             return self._index[self._space.encode(path.vertices)]
@@ -240,14 +235,8 @@ class TransferDigraph:
             sizes = [0] * count
             for c in comp:
                 sizes[c] += 1
-            arcs = set()
-            for i in range(len(self._states)):
-                for j in self.successors_of(i):
-                    if comp[i] != comp[j]:
-                        arcs.add((comp[i], comp[j]))
             self._scc = SccSummary(count=count,
-                                   sizes=tuple(sorted(sizes, reverse=True)),
-                                   condensation_arcs=frozenset(arcs))
+                                   sizes=tuple(sorted(sizes, reverse=True)))
         return self._scc
 
     @property
@@ -323,11 +312,6 @@ def build_transfer_digraph(graph, n, budget=DEFAULT_BUDGET):
     return TransferDigraph(space, n, states)
 
 
-def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
-    """True iff the graph has an n-path and all n-paths reach each other."""
-    return build_transfer_digraph(graph, n, budget).is_strongly_connected
-
-
 @dataclass(frozen=True)
 class NPathVerdict:
     n: int
@@ -335,6 +319,21 @@ class NPathVerdict:
     reason: str  # "" when transferable, else "no-n-path"/"not-strongly-connected"
     state_count: int
     scc_count: int
+
+
+def n_verdict(graph, n, budget=DEFAULT_BUDGET):
+    """Whether the graph is n-transferable, with the counts behind it."""
+    digraph = build_transfer_digraph(graph, n, budget)
+    if digraph.state_count == 0:
+        return NPathVerdict(n, False, "no-n-path", 0, 0)
+    ok = digraph.is_strongly_connected
+    return NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
+                        digraph.state_count, digraph.scc_summary().count)
+
+
+def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
+    """True iff the graph has an n-path and all n-paths reach each other."""
+    return n_verdict(graph, n, budget).transferable
 
 
 @dataclass(frozen=True)
@@ -368,22 +367,14 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
     bound = 0
     for n in range(1, max_n + 1):
         try:
-            digraph = build_transfer_digraph(graph, n, budget)
+            verdict = n_verdict(graph, n, budget)
         except BudgetError:
             truncated_at = n
             break
         bound = n
-        if digraph.state_count == 0:
-            per_n.append(NPathVerdict(n, False, "no-n-path", 0, 0))
-            continue
-        summary = digraph.scc_summary()
-        if summary.count == 1:
-            per_n.append(NPathVerdict(n, True, "",
-                                      digraph.state_count, 1))
+        per_n.append(verdict)
+        if verdict.transferable:
             value = n
-        else:
-            per_n.append(NPathVerdict(n, False, "not-strongly-connected",
-                                      digraph.state_count, summary.count))
     return TransferabilityResult(value=value, per_n=tuple(per_n),
                                  search_bound=bound,
                                  truncated_at=truncated_at)

@@ -25,13 +25,13 @@ def test_constants():
 
 def test_curvature_values():
     tetra = topology(tetrahedron())
-    assert all(curvature(tetra, v).value == F(1, 2)
+    assert all(curvature(tetra, v) == F(1, 2)
                for v in tetra.rs.vertices)
     hexes = topology(hex_torus(3, 3))
-    assert all(curvature(hexes, v).value == 0 for v in hexes.rs.vertices)
+    assert all(curvature(hexes, v) == 0 for v in hexes.rs.vertices)
     trunc = topology(truncate(hex_torus(3, 3)))
     # 1 - 3/2 + (1/3 + 1/12 + 1/12) = 0
-    assert all(curvature(trunc, v).value == 0 for v in trunc.rs.vertices)
+    assert all(curvature(trunc, v) == 0 for v in trunc.rs.vertices)
     with pytest.raises(StructureError):
         curvature(tetra, "missing")
 

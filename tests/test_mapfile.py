@@ -2,9 +2,9 @@
 
 import pytest
 
-from polymap.errors import MapFormatError
+from polymap.errors import MapFormatError, StructureError
 from polymap.mapfile import parse_map, serialize_map
-from polymap.surface_map import topology
+from polymap.surface_map import RotationSystem, topology
 
 
 def test_round_trip_on_corpus(corpus):
@@ -85,3 +85,15 @@ def test_structural_errors_become_format_errors():
     with pytest.raises(MapFormatError) as info:
         parse_map("v a: e+ e+\nv b: f+ f+\n")
     assert "connected" in str(info.value)
+
+
+@pytest.mark.parametrize("rotation", [
+    {"a#1": ["e", "e"]},  # '#' would start a comment
+    {"a:1": ["e", "e"]},  # ':' would end the vertex id early
+    {"a": ["e 1", "e 1"]},  # whitespace would split the edge token
+    {"": ["e", "e"]},  # an empty vertex id does not parse
+])
+def test_serialize_rejects_ids_it_cannot_round_trip(rotation):
+    with pytest.raises(StructureError) as info:
+        serialize_map(RotationSystem(rotation))
+    assert "cannot be written" in str(info.value)

@@ -172,6 +172,42 @@ def test_transfer_sweep(capsys, monkeypatch, tmp_path):
     assert [row["n"] for row in doc["per_n"]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_transfer_n_prints_the_sweep_row(capsys, monkeypatch, tmp_path, fmt):
+    path = tmp_path / "tetra.map"
+    path.write_text(serialize_map(__import__("polymap").tetrahedron()),
+                    encoding="utf-8")
+    code, sweep, _ = run_cli(capsys, monkeypatch,
+                             ["transfer", str(path), "--sweep",
+                              "--format", "json"])
+    assert code == 0
+    rows = json.loads(sweep)["transfer"]["per_n"]
+    for k in (1, 2, 3):
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["transfer", str(path), "--n", str(k),
+                                "--format", fmt])
+        row = rows[k - 1]
+        assert code == (0 if row["transferable"] else 1)
+        render = render_json if fmt == "json" else render_text
+        assert out == render({"transfer": row})
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--budget", "10"],
+    ["check", "--seed", "1"],
+    ["transfer", "--n", "2", "--seed", "1"],
+    ["gen", "tetrahedron", "--format", "json"],
+])
+def test_options_a_command_does_not_use_are_rejected(capsys, monkeypatch,
+                                                     hex33_file, argv):
+    if argv[0] != "gen":
+        argv = argv[:1] + [hex33_file] + argv[1:]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_transfer_budget_exits_3(capsys, monkeypatch, hex33_file):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["transfer", hex33_file, "--n", "9",

@@ -84,7 +84,6 @@ def test_k4_digraph_structure():
     summary = dg.scc_summary()
     assert summary.sizes == (4,) * 6
     assert summary.count == 6
-    assert summary.condensation_arcs == frozenset()
     assert not dg.is_strongly_connected
     assert is_n_transferable(complete_graph(4), 3) is False
 
