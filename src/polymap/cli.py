@@ -57,7 +57,7 @@ def _build_parser():
     report.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    search.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
                         help="state budget for the search")
 
     parser = argparse.ArgumentParser(
@@ -115,6 +115,14 @@ def _build_parser():
     p.set_defaults(handler=_cmd_export)
 
     return parser
+
+
+def budget(text):
+    # argparse names this function in its error for a non-integer value
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _read_map(args):

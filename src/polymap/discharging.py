@@ -13,12 +13,12 @@ be applied in any order before rule B; the canonical pipeline in
 :func:`run_discharge` runs A1, A2, A3, A4, B and asserts conservation
 after every step.
 
-Every transfer is recorded in a :class:`TransferLedger`; replaying the
-ledger over the initial charges must land exactly on the final state,
-which gives an end-to-end audit of the arithmetic.  The Lemma audit
-compares after-A face charges and final vertex charges against the
-bounds the counterexample analysis needs; on ordinary maps (ones with
-light vertices) failed bounds are informational only.
+Every rule records each transfer in the :class:`TransferLedger` it is
+given; replaying the ledger over the initial charges must land exactly
+on the final state, an end-to-end audit of the arithmetic.  The Lemma
+audit compares after-A face charges and final vertex charges against
+the bounds the counterexample analysis needs; on ordinary maps (ones
+with light vertices) failed bounds are informational only.
 """
 
 from __future__ import annotations
@@ -114,15 +114,6 @@ class LedgerEntry:
     amount: Fraction
     note: str
 
-    def line(self):
-        return "%s\t%s\t%s\t%d/%d" % (
-            self.rule, _element(self.source), _element(self.target),
-            self.amount.numerator, self.amount.denominator)
-
-
-def _element(ref):
-    return "%s:%s" % ref
-
 
 @dataclass
 class TransferLedger:
@@ -130,9 +121,6 @@ class TransferLedger:
 
     def record(self, rule, source, target, amount, note):
         self.entries.append(LedgerEntry(rule, source, target, amount, note))
-
-    def to_text(self):
-        return "".join(entry.line() + "\n" for entry in self.entries)
 
     def replay(self, state):
         """Re-apply every recorded transfer on top of ``state``.
@@ -163,7 +151,15 @@ def initial_charges(top):
     )
 
 
-def apply_rule_a1(state, top, ledger=None):
+def _move(state, ledger, rule, source, target, amount, note):
+    """Move ``amount`` from ``source`` to ``target`` and record it."""
+    charges = {"v": state.vertex_charge, "f": state.face_charge}
+    charges[source[0]][source[1]] -= amount
+    charges[target[0]][target[1]] += amount
+    ledger.record(rule, source, target, amount, note)
+
+
+def apply_rule_a1(state, top, ledger):
     """Vertices of degree >= 4 pay 1, 1/2, 1/5 per incident 3-, 4-, 5-face."""
     state = state._advance("A1")
     for v in top.rs.vertices:
@@ -173,16 +169,13 @@ def apply_rule_a1(state, top, ledger=None):
             amount = _A1_AMOUNT.get(top.face_degrees[f])
             if amount is None:
                 continue
-            state.vertex_charge[v] -= amount
-            state.face_charge[f] += amount
-            if ledger is not None:
-                ledger.record("A1", ("v", v), ("f", f), amount,
-                              "deg(v)=%d deg(a)=%d"
-                              % (top.vertex_degrees[v], top.face_degrees[f]))
+            _move(state, ledger, "A1", ("v", v), ("f", f), amount,
+                  "deg(v)=%d deg(a)=%d"
+                  % (top.vertex_degrees[v], top.face_degrees[f]))
     return state
 
 
-def apply_rule_a2(state, top, ledger=None):
+def apply_rule_a2(state, top, ledger):
     """Extra 1/10 to each 3-face of a vertex (deg >= 4) that also touches
     at least two 6-faces."""
     state = state._advance("A2")
@@ -195,13 +188,9 @@ def apply_rule_a2(state, top, ledger=None):
         for f in top.vertex_faces[v]:
             if top.face_degrees[f] != 3:
                 continue
-            amount = Fraction(1, 10)
-            state.vertex_charge[v] -= amount
-            state.face_charge[f] += amount
-            if ledger is not None:
-                ledger.record("A2", ("v", v), ("f", f), amount,
-                              "deg(v)=%d three-face with two six-faces"
-                              % top.vertex_degrees[v])
+            _move(state, ledger, "A2", ("v", v), ("f", f), Fraction(1, 10),
+                  "deg(v)=%d three-face with two six-faces"
+                  % top.vertex_degrees[v])
     return state
 
 
@@ -212,7 +201,7 @@ def _a3_amount(table, major_degree, minor_degree):
     raise AssertionError("unreachable band for degree %d" % major_degree)
 
 
-def apply_rule_a3(state, top, ledger=None):
+def apply_rule_a3(state, top, ledger):
     """Across each weak or semi-weak edge with a minor face (deg <= 5) on
     one side and a major face (deg >= 7) on the other, the major face
     pays the tabulated amount."""
@@ -236,17 +225,13 @@ def apply_rule_a3(state, top, ledger=None):
         table = _A3_WEAK if kind == "weak" else _A3_SEMI_WEAK
         amount = _a3_amount(
             table, top.face_degrees[major], top.face_degrees[minor])
-        state.face_charge[major] -= amount
-        state.face_charge[minor] += amount
-        if ledger is not None:
-            ledger.record("A3", ("f", major), ("f", minor), amount,
-                          "%s edge %s deg(a)=%d deg(a')=%d"
-                          % (kind, e, top.face_degrees[minor],
-                             top.face_degrees[major]))
+        _move(state, ledger, "A3", ("f", major), ("f", minor), amount,
+              "%s edge %s deg(a)=%d deg(a')=%d"
+              % (kind, e, top.face_degrees[minor], top.face_degrees[major]))
     return state
 
 
-def apply_rule_a4(state, top, ledger=None):
+def apply_rule_a4(state, top, ledger):
     """Huge faces (degree >= 2519) refund 1/2 per incident (3,3,4,k)-vertex
     and 1/5 per incident (3,3,5,k)-vertex, k being the face's own degree."""
     state = state._advance("A4")
@@ -262,15 +247,12 @@ def apply_rule_a4(state, top, ledger=None):
                 amount = Fraction(1, 5)
             else:
                 continue
-            state.face_charge[f] -= amount
-            state.vertex_charge[v] += amount
-            if ledger is not None:
-                ledger.record("A4", ("f", f), ("v", v), amount,
-                              "type %r with k=%d" % (vt, k))
+            _move(state, ledger, "A4", ("f", f), ("v", v), amount,
+                  "type %r with k=%d" % (vt, k))
     return state
 
 
-def apply_rule_b(state, top, ledger=None):
+def apply_rule_b(state, top, ledger):
     """Every major face splits its entire charge equally over its vertex
     incidences and ends at zero."""
     state = state._advance("B")
@@ -281,11 +263,8 @@ def apply_rule_b(state, top, ledger=None):
         if share == 0:
             continue
         for v in walk.vertex_sequence:
-            state.face_charge[f] -= share
-            state.vertex_charge[v] += share
-            if ledger is not None:
-                ledger.record("B", ("f", f), ("v", v), share,
-                              "deg(a)=%d share of c*" % walk.degree)
+            _move(state, ledger, "B", ("f", f), ("v", v), share,
+                  "deg(a)=%d share of c*" % walk.degree)
     return state
 
 

@@ -15,7 +15,7 @@ are recovered by the usual trace: follow a dart to its far end and turn
 to the rotation successor there (predecessor while the accumulated
 signature is negative).  The trace walks over ``(dart, side)`` pairs so
 that every dart is seen from both of its sides exactly once; each face
-is traced once per direction and one canonical direction is kept.
+is traced once per direction, and the direction traced first is kept.
 
 Vertex and edge identifiers are plain strings throughout (the map file
 format and the generators only ever produce strings); any hashable,
@@ -211,8 +211,9 @@ class FacialWalk:
 def _trace_walks(rs):
     """Raw two-sided face trace: orbits over (dart, side) states.
 
-    Returns one orbit per face, each rotated to its smallest state and
-    ordered by smallest dart.
+    Starts are taken in (dart, side +1 before -1) order, so each orbit
+    begins at its smallest state, and of a face's two mirror orbits the
+    one traced first holds the smaller state; it is kept as traced.
     """
     sig, vertex_of, pos = rs.signature, rs._dart_vertex, rs._dart_pos
 
@@ -237,28 +238,18 @@ def _trace_walks(rs):
         if cur != start:
             raise StructureError("face trace did not close at %r" % (cur,))
         orbits.append(orbit)
-    # Every face is traced once per side; mirror orbits are paired
-    # and the one with the smaller canonical start is kept.
-    emitted = []
+    walks = []
     for i, orbit in enumerate(orbits):
         d, side = orbit[0]
         j = orbit_of[(d.opposite(), -side * sig[d.edge])]
         if j == i:
             raise StructureError("facial walk is its own mirror image")
         if i < j:
-            emitted.append(min(i, j, key=lambda k: min(map(_state_key, orbits[k]))))
-    walks = []
-    for i in emitted:
-        orbit = orbits[i]
-        k = min(range(len(orbit)), key=lambda t: _state_key(orbit[t]))
-        walks.append(orbit[k:] + orbit[:k])
-    walks.sort(key=lambda walk: (min(d for d, _ in walk), walk[0]))
+            walks.append(orbit)
+    # By smallest dart; two faces may share it, seen from its two
+    # sides, and then side -1 comes first, unlike in the trace order.
+    walks.sort(key=lambda walk: walk[0])
     return walks
-
-
-def _state_key(state):
-    d, side = state
-    return (d, 0 if side == 1 else 1)
 
 
 def trace_faces(rs):

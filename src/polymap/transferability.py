@@ -151,8 +151,7 @@ def _iter_states(space, n, budget, start_order=None):
 def _successor_targets(space, p):
     """Integer targets of all legal moves from encoded state p, ascending."""
     inner = p[1:-1]
-    head = p[-1]
-    return [w for w in space.adj[head] if w != head and w not in inner]
+    return [w for w in space.adj[p[-1]] if w not in inner]
 
 
 def steps(graph, path):
@@ -205,7 +204,6 @@ class TransferDigraph:
             offsets[i + 1] = len(targets)
         self._offsets = offsets
         self._targets = targets
-        self._scc = None
 
     @property
     def state_count(self):
@@ -221,7 +219,7 @@ class TransferDigraph:
     def index_of(self, path):
         try:
             return self._index[self._space.encode(path.vertices)]
-        except (KeyError, StructureError):
+        except KeyError:
             raise ValueError("%r is not a %d-path of this graph"
                              % (path, self.n)) from None
 
@@ -229,19 +227,9 @@ class TransferDigraph:
         return tuple(self._targets[self._offsets[i]:self._offsets[i + 1]])
 
     def scc_summary(self):
-        if self._scc is None:
-            count, comp = _tarjan(len(self._states), self._offsets,
-                                  self._targets)
-            sizes = [0] * count
-            for c in comp:
-                sizes[c] += 1
-            self._scc = SccSummary(count=count,
-                                   sizes=tuple(sorted(sizes, reverse=True)))
-        return self._scc
-
-    @property
-    def is_strongly_connected(self):
-        return self.state_count > 0 and self.scc_summary().count == 1
+        sizes = _tarjan(len(self._states), self._offsets, self._targets)
+        return SccSummary(count=len(sizes),
+                          sizes=tuple(sorted(sizes, reverse=True)))
 
     def to_dot(self):
         """The digraph in DOT format, states as comma-joined vertex ids."""
@@ -260,14 +248,13 @@ class TransferDigraph:
 
 
 def _tarjan(num, offsets, targets):
-    """Strong components by Tarjan's algorithm, fully iterative."""
+    """Strong component sizes by Tarjan's algorithm, fully iterative."""
     disc = array("l", [-1] * num)
     low = array("l", [0] * num)
-    comp = array("l", [-1] * num)
     on_stack = bytearray(num)
     stack = []
+    sizes = []
     counter = 0
-    ncomp = 0
     for root in range(num):
         if disc[root] != -1:
             continue
@@ -292,16 +279,17 @@ def _tarjan(num, offsets, targets):
             else:
                 call.pop()
                 if low[v] == disc[v]:
+                    size = 0
                     while True:
                         w = stack.pop()
                         on_stack[w] = 0
-                        comp[w] = ncomp
+                        size += 1
                         if w == v:
                             break
-                    ncomp += 1
+                    sizes.append(size)
                 if call and low[v] < low[call[-1][0]]:
                     low[call[-1][0]] = low[v]
-    return ncomp, comp
+    return sizes
 
 
 def build_transfer_digraph(graph, n, budget=DEFAULT_BUDGET):
@@ -326,9 +314,10 @@ def n_verdict(graph, n, budget=DEFAULT_BUDGET):
     digraph = build_transfer_digraph(graph, n, budget)
     if digraph.state_count == 0:
         return NPathVerdict(n, False, "no-n-path", 0, 0)
-    ok = digraph.is_strongly_connected
+    count = digraph.scc_summary().count
+    ok = count == 1
     return NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
-                        digraph.state_count, digraph.scc_summary().count)
+                        digraph.state_count, count)
 
 
 def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
@@ -361,6 +350,8 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
     """
     if max_n is None:
         max_n = longest_path_bound(graph, budget)
+    elif max_n < 1:
+        raise ValueError("path length must be at least 1")
     per_n = []
     value = 0
     truncated_at = None

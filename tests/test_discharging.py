@@ -43,7 +43,7 @@ def test_conservation_through_all_stages(corpus_tops):
         state = initial_charges(top)
         expect = -6 * top.euler_characteristic
         for rule in _A_RULES + (apply_rule_b,):
-            state = rule(state, top)
+            state = rule(state, top, TransferLedger())
             assert state.total() == expect, (name, state.applied)
         assert state.stage == "after_B"
 
@@ -76,14 +76,12 @@ def test_truncated_hex_ledger(trunc_hex):
     assert replayed.vertex_charge == final.vertex_charge
     assert replayed.face_charge == final.face_charge
 
-    lines = ledger.to_text().splitlines()
-    assert lines and all(len(line.split("\t")) == 4 for line in lines)
-    b_lines = [line for line in lines if line.startswith("B\t")]
-    assert {line.split("\t")[3] for line in b_lines} == {"1/4"}
-    assert len(b_lines) == 108  # nine 12-gons, one share per incidence
-    a3_lines = [line for line in lines if line.startswith("A3\t")]
-    assert {line.split("\t")[3] for line in a3_lines} == {"1/2"}
-    assert len(a3_lines) == 54  # every edge of t(hex33) is weak, band 9..12
+    b = [e for e in ledger.entries if e.rule == "B"]
+    assert {e.amount for e in b} == {F(1, 4)}
+    assert len(b) == 108  # nine 12-gons, one share per incidence
+    a3 = [e for e in ledger.entries if e.rule == "A3"]
+    assert {e.amount for e in a3} == {F(1, 2)}
+    assert len(a3) == 54  # every edge of t(hex33) is weak, band 9..12
 
 
 def test_a_rules_order_independent(trunc_hex):
@@ -92,7 +90,7 @@ def test_a_rules_order_independent(trunc_hex):
     for perm in itertools.permutations(_A_RULES):
         state = initial_charges(top)
         for rule in perm:
-            state = rule(state, top)
+            state = rule(state, top, TransferLedger())
         outcomes.add((tuple(sorted(state.vertex_charge.items())),
                       tuple(sorted(state.face_charge.items()))))
     assert len(outcomes) == 1
@@ -102,17 +100,17 @@ def test_stage_gating(trunc_hex):
     top = trunc_hex[0]
     state = initial_charges(top)
     with pytest.raises(StructureError):
-        apply_rule_b(state, top)  # B before the A rules
-    state = apply_rule_a1(state, top)
+        apply_rule_b(state, top, TransferLedger())  # B before the A rules
+    state = apply_rule_a1(state, top, TransferLedger())
     with pytest.raises(StructureError):
-        apply_rule_a1(state, top)  # same rule twice
+        apply_rule_a1(state, top, TransferLedger())  # same rule twice
     for rule in (apply_rule_a2, apply_rule_a3, apply_rule_a4):
-        state = rule(state, top)
-    state = apply_rule_b(state, top)
+        state = rule(state, top, TransferLedger())
+    state = apply_rule_b(state, top, TransferLedger())
     with pytest.raises(StructureError):
-        apply_rule_a2(state, top)  # A after B
+        apply_rule_a2(state, top, TransferLedger())  # A after B
     with pytest.raises(StructureError):
-        apply_rule_b(state, top)
+        apply_rule_b(state, top, TransferLedger())
 
 
 def test_k7_everything_cancels():
@@ -143,7 +141,7 @@ def test_quiet_maps_move_no_charge():
 def test_a3_rejects_minor_and_major_on_same_face():
     path = topology(RotationSystem({"u": ["e"], "w": ["e"]}))
     with pytest.raises(StructureError):
-        apply_rule_a3(initial_charges(path), path)
+        apply_rule_a3(initial_charges(path), path, TransferLedger())
 
 
 def test_a4_on_huge_faces():
@@ -241,6 +239,6 @@ def test_charge_state_is_immutable():
     state = initial_charges(top)
     with pytest.raises(Exception):
         state.applied = frozenset({"A1"})
-    after = apply_rule_a1(state, top)
+    after = apply_rule_a1(state, top, TransferLedger())
     assert state.vertex_charge != after.vertex_charge
     assert state.applied == frozenset()

@@ -1,5 +1,6 @@
 """Report rendering and the command-line interface, end to end."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -7,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from polymap.cli import main
-from polymap.generators import hex_torus, truncate
+from polymap.generators import hex_klein, hex_torus, tri_torus, truncate
 from polymap.mapfile import parse_map, serialize_map
 from polymap.report import fraction_str, render_json, render_text
+from polymap.surface_map import topology
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -122,6 +124,32 @@ def test_discharge_json(capsys, monkeypatch, tmp_path):
     assert len(discharge["transfers"]) == 162
 
 
+@pytest.mark.parametrize("command,builder,digest", [
+    ("discharge", lambda: truncate(hex_klein(3, 3)),
+     "e001b206bb4bd84760feea498a0adf89a63bf6de055c6b9a500ececefb92076e"),
+    ("discharge", lambda: tri_torus(4, 4),
+     "9810de77a36ec986a571cc5c5816d6231cfb2fde6a3357b67acae0ec57ddd0a7"),
+    ("analyze", lambda: hex_klein(3, 3),
+     "856606ab538b221e31da6663031b1c07bac0c59058698ae66b3eb857ff2999c7"),
+], ids=["discharge-truncated-klein", "discharge-tri-torus", "analyze-klein"])
+def test_json_reports_are_byte_identical(capsys, monkeypatch, tmp_path,
+                                         command, builder, digest):
+    """Pins face order, walk direction and ledger order of whole reports."""
+    path = tmp_path / "m.map"
+    path.write_text(serialize_map(builder()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           [command, str(path), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_truncated_klein_has_faces_sharing_their_smallest_dart():
+    """Two pairs of faces each share a smallest dart, seen from its two
+    sides: the report pins above are what fix their order."""
+    smallest = [min(w.darts) for w in topology(truncate(hex_klein(3, 3))).faces]
+    assert len(smallest) - len(set(smallest)) == 2
+
+
 def test_gen_round_trips(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["gen", "hex-torus", "3", "3"])
     assert code == 0
@@ -206,6 +234,31 @@ def test_options_a_command_does_not_use_are_rejected(capsys, monkeypatch,
         main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--sweep", "--max-n", "0"],
+    ["transfer", "--sweep", "--max-n", "-1"],
+    ["transfer", "--n", "0"],
+    ["stuck", "--n", "0"],
+    ["export-digraph", "--n", "0"],
+])
+def test_path_lengths_below_1_exit_2(capsys, monkeypatch, hex33_file, argv):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             argv[:1] + [hex33_file] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: path length must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["transfer", "stuck", "export-digraph"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_1_exits_2(capsys, monkeypatch, hex33_file, command,
+                                budget):
+    with pytest.raises(SystemExit) as info:
+        main([command, hex33_file, "--n", "2", "--budget", budget])
+    assert info.value.code == 2
+    assert "argument --budget: must be at least 1" in capsys.readouterr().err
 
 
 def test_transfer_budget_exits_3(capsys, monkeypatch, hex33_file):

