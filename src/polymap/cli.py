@@ -5,7 +5,8 @@ Subcommands: ``analyze``, ``check``, ``discharge``, ``transfer``,
 or from stdin as ``-``.  Exit codes: 0 success, 1 a checked property
 fails (not polyhedral, not transferable, no stuck path, audit
 contradiction), 2 malformed input or parameters, 3 state budget
-exceeded.
+exceeded, 4 internal error (a cross-check inside polymap contradicted
+itself, a bug in this package), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def main(argv=None):
     except BudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 def _build_parser():
@@ -205,5 +209,5 @@ def _cmd_gen(args):
 def _cmd_export(args):
     graph = _read_map(args).adjacency()
     digraph = build_transfer_digraph(graph, args.n, args.budget)
-    sys.stdout.write(digraph.to_dot())
+    sys.stdout.writelines(digraph.dot_lines())
     return 0

@@ -196,7 +196,7 @@ class TransferDigraph:
         self._states = states
         self._index = {p: i for i, p in enumerate(states)}
         targets = array("l")
-        offsets = array("l", [0] * (len(states) + 1))
+        offsets = array("l", [0]) * (len(states) + 1)
         for i, p in enumerate(states):
             row = _successor_targets(space, p)
             for w in row:
@@ -233,26 +233,39 @@ class TransferDigraph:
 
     def to_dot(self):
         """The digraph in DOT format, states as comma-joined vertex ids."""
-        def label(p):
-            text = ",".join(str(self._space.names[i]) for i in p)
-            return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+        return "".join(self.dot_lines())
 
-        lines = ["digraph transfer {"]
+    def dot_lines(self):
+        """The lines of ``to_dot()``, newline included, one at a time."""
+        names = self._space.names
+        labels = []
         for p in self._states:
-            lines.append("  %s;" % label(p))
-        for i, p in enumerate(self._states):
-            for j in self.successors_of(i):
-                lines.append("  %s -> %s;" % (label(p), label(self._states[j])))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            text = ",".join(str(names[i]) for i in p)
+            labels.append(
+                '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"'))
+        yield "digraph transfer {\n"
+        for label in labels:
+            yield "  %s;\n" % label
+        offsets, targets = self._offsets, self._targets
+        for i, label in enumerate(labels):
+            for k in range(offsets[i], offsets[i + 1]):
+                yield "  %s -> %s;\n" % (label, labels[targets[k]])
+        yield "}\n"
 
 
 def _tarjan(num, offsets, targets):
-    """Strong component sizes by Tarjan's algorithm, fully iterative."""
-    disc = array("l", [-1] * num)
-    low = array("l", [0] * num)
+    """Strong component sizes by Tarjan's algorithm, fully iterative.
+
+    The call stack and the component stack are int arrays and
+    ``ptr[v]`` is the next arc of v to follow, so a frame is one array
+    slot rather than a tuple of two int objects.
+    """
+    disc = array("l", [-1]) * num
+    low = array("l", [0]) * num
+    ptr = array("l", offsets)
     on_stack = bytearray(num)
-    stack = []
+    stack = array("l")
+    call = array("l")
     sizes = []
     counter = 0
     for root in range(num):
@@ -262,18 +275,19 @@ def _tarjan(num, offsets, targets):
         counter += 1
         stack.append(root)
         on_stack[root] = 1
-        call = [(root, offsets[root])]
+        call.append(root)
         while call:
-            v, ptr = call[-1]
-            if ptr < offsets[v + 1]:
-                call[-1] = (v, ptr + 1)
-                w = targets[ptr]
+            v = call[-1]
+            arc = ptr[v]
+            if arc < offsets[v + 1]:
+                ptr[v] = arc + 1
+                w = targets[arc]
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = 1
-                    call.append((w, offsets[w]))
+                    call.append(w)
                 elif on_stack[w] and disc[w] < low[v]:
                     low[v] = disc[w]
             else:
@@ -287,8 +301,8 @@ def _tarjan(num, offsets, targets):
                         if w == v:
                             break
                     sizes.append(size)
-                if call and low[v] < low[call[-1][0]]:
-                    low[call[-1][0]] = low[v]
+                if call and low[v] < low[call[-1]]:
+                    low[call[-1]] = low[v]
     return sizes
 
 

@@ -5,7 +5,9 @@ and only if the faces around every vertex form a wheel (>= 3 spokes,
 possibly subdivided rim).  The global consequences (3-connectivity,
 closed 2-cell) are checked independently and cross-checked against the
 wheel verdict; a disagreement in the implied direction is a bug in this
-package, not bad input, and raises RuntimeError.
+package, not bad input, and raises RuntimeError.  3-connectivity runs
+one cut-vertex search on G - u for every vertex u, O(V * (V + E)) in
+all, and names the first separating pair in sorted order.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -114,44 +116,99 @@ def check_wheel_neighborhood(top):
 
 
 def check_3_connected(graph):
-    """Exhaustive pair-deletion test on a simple abstract graph.
+    """3-connectivity by one cut-vertex search per deleted vertex.
 
-    ``graph`` maps each vertex to an iterable of neighbours.  Follows
-    the usual convention: K4 is 3-connected, anything on fewer than four
-    vertices is not.  Returns (verdict, witness); the witness is a
-    separating pair, or () when the graph is disconnected or too small.
+    ``graph`` maps each vertex to an iterable of neighbours; an edge
+    counts if either end lists it, and loops and neighbours that are not
+    keys are ignored.  Follows the usual convention: K4 is 3-connected,
+    anything on fewer than four vertices is not.  Returns (verdict,
+    witness); the witness is the first separating pair (u, w), u < w in
+    sorted order, or () when the graph is disconnected or too small.
+
+    For each u in sorted order one iterative lowpoint search (Tarjan
+    1972) on G - u finds the partners w > u with {u, w} separating, so
+    the test costs O(V * (V + E)) where deleting every pair would cost
+    O(V^2 * (V + E)).
     """
-    adj = {v: set(ws) for v, ws in graph.items()}
-    vertices = sorted(adj)
-    if len(vertices) < 4:
+    names = sorted(graph)
+    if len(names) < 4:
         return False, ()
-    if _component_count(adj, ()) != 1:
+    index = {v: i for i, v in enumerate(names)}
+    rows = [set() for _ in names]
+    for v, ws in graph.items():
+        i = index[v]
+        for w in ws:
+            j = index.get(w)
+            if j is not None and j != i:
+                rows[i].add(j)
+                rows[j].add(i)
+    adj = [tuple(row) for row in rows]
+    if _lowpoint_search(adj, None)[0] != 1:
         return False, ()
-    for i, u in enumerate(vertices):
-        for w in vertices[i + 1:]:
-            if _component_count(adj, (u, w)) != 1:
-                return False, (u, w)
+    for u in range(len(adj)):
+        pieces, cut = _lowpoint_search(adj, u)
+        if pieces == 1:
+            separating = cut
+        else:
+            # G - u - w is connected only when one other piece is left
+            # and w is a piece of its own, i.e. u is its only neighbour
+            separating = [pieces > 2 or any(x != u for x in row)
+                          for row in adj]
+        for w in range(u + 1, len(adj)):
+            if separating[w]:
+                return False, (names[u], names[w])
     return True, None
 
 
-def _component_count(adj, removed):
-    left = set(adj) - set(removed)
-    if not left:
-        return 0
-    count = 0
-    seen = set()
-    for start in left:
-        if start in seen:
+def _lowpoint_search(adj, u):
+    """Pieces of G - u and its cut vertices.
+
+    One iterative depth-first search with lowpoints over integer
+    vertices; ``u`` None deletes nothing.  Returns (piece count, cut
+    flags indexed by vertex).
+    """
+    num = len(adj)
+    disc = [0] * num  # 0 unvisited; discovery times start at 1
+    low = [0] * num
+    cut = [False] * num
+    if u is not None:
+        disc[u] = -1
+    pieces = 0
+    counter = 1
+    for root in range(num):
+        if disc[root]:
             continue
-        count += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in left and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+        pieces += 1
+        disc[root] = low[root] = counter
+        counter += 1
+        children = 0
+        path = [root]
+        rows = [iter(adj[root])]
+        while rows:
+            v = path[-1]
+            for w in rows[-1]:
+                d = disc[w]
+                if d == 0:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    path.append(w)
+                    rows.append(iter(adj[w]))
+                    break
+                if 0 < d < low[v]:
+                    low[v] = d
+            else:
+                path.pop()
+                rows.pop()
+                if len(path) > 1:
+                    p = path[-1]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    elif low[v] >= disc[p]:
+                        cut[p] = True
+                elif path:
+                    children += 1
+        cut[root] = children > 1
+    return pieces, cut
 
 
 def check_polyhedral(top):

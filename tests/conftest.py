@@ -84,6 +84,43 @@ def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
     return {v: tuple(sorted(row)) for v, row in adj.items()}
 
 
+def pairs_3_connected(graph):
+    """Brute-force 3-connectivity: delete every vertex pair in sorted
+    order and count the components left.  The oracle for
+    ``check_3_connected``, verdict and witness alike."""
+    adj = {v: set(ws) for v, ws in graph.items()}
+    vertices = sorted(adj)
+    if len(vertices) < 4:
+        return False, ()
+    if _component_count(adj, ()) != 1:
+        return False, ()
+    for i, u in enumerate(vertices):
+        for w in vertices[i + 1:]:
+            if _component_count(adj, (u, w)) != 1:
+                return False, (u, w)
+    return True, None
+
+
+def _component_count(adj, removed):
+    left = set(adj) - set(removed)
+    if not left:
+        return 0
+    count = 0
+    seen = set()
+    for start in left:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in left and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
 # -- maps built by hand for edge cases ------------------------------------
 
 def antiprism(n):

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import polymap.validity
 from polymap.cli import main
-from polymap.generators import hex_klein, hex_torus, tri_torus, truncate
+from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
+                                truncate)
 from polymap.mapfile import parse_map, serialize_map
 from polymap.report import fraction_str, render_json, render_text
 from polymap.surface_map import topology
@@ -295,3 +297,38 @@ def test_export_digraph(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert out.startswith("digraph")
     assert out.count("->") == 48  # 24 directed 2-paths, two moves each
+
+
+QUOTED_TRIANGLE = 'v a": ab+ ca+\nv b\\: ab+ bc+\nv c\\"\\: bc+ ca+\n'
+
+
+@pytest.mark.parametrize("text,n,digest", [
+    (serialize_map(truncate(hex_torus(3, 3))), 3,
+     "2e1b6694cdb8aa1a7681c578cf93af8bc033559a4a64d08fb5f4c42b1f84ac92"),
+    (QUOTED_TRIANGLE, 1,
+     "3031f58b09d403dad4e56af46f7ce04eb179c6845636d2c6ad2169a9f1628611"),
+], ids=["truncated-hex-torus", "quoted-ids"])
+def test_export_digraph_is_byte_identical(capsys, monkeypatch, tmp_path,
+                                          text, n, digest):
+    """Pins the DOT output, state order, arc order and escaping of ``"``
+    and ``\\`` in ids included."""
+    path = tmp_path / "m.map"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["export-digraph", str(path), "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_internal_contradiction_exits_4(capsys, monkeypatch, tmp_path):
+    """A wheel verdict that 3-connectivity contradicts is a bug in
+    polymap: one stderr line and exit 4, not a traceback."""
+    path = tmp_path / "tetra.map"
+    path.write_text(serialize_map(tetrahedron()), encoding="utf-8")
+    monkeypatch.setattr(polymap.validity, "check_3_connected",
+                        lambda graph: (False, ("0", "1")))
+    code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

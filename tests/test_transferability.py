@@ -99,9 +99,10 @@ def test_c5_orientation_components():
 
 def test_scc_summary_against_networkx():
     """Component count and sizes agree with networkx on the move digraph
-    built from ``steps``."""
+    built from ``steps``.  On C300 Tarjan's call stack runs 300 to 401
+    frames deep over 600 states."""
     cases = [("K4", complete_graph(4)), ("C5", cycle_graph(5)),
-             ("petersen", petersen_graph())]
+             ("petersen", petersen_graph()), ("C300", cycle_graph(300))]
     rng = seeded_rng(505)  # the random graphs of criterion 6
     for trial in range(10):
         nv = rng.randint(4, 10)
@@ -118,6 +119,17 @@ def test_scc_summary_against_networkx():
             summary = build_transfer_digraph(graph, n).scc_summary()
             assert (summary.count, summary.sizes) == \
                 (len(sizes), tuple(sizes)), (name, n)
+
+
+def test_dot_lines_join_to_to_dot():
+    for graph, n in ((complete_graph(4), 2), (petersen_graph(), 3),
+                     (cycle_graph(5), 1)):
+        dg = build_transfer_digraph(graph, n)
+        lines = list(dg.dot_lines())
+        assert "".join(lines) == dg.to_dot()
+        assert all(line.endswith("\n") and line.count("\n") == 1
+                   for line in lines)
+        assert len(lines) == dg.state_count + dg.arc_count + 2
 
 
 def test_digraph_round_trip():

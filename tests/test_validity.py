@@ -2,10 +2,13 @@
 
 import itertools
 
+import hypothesis
+import hypothesis.strategies as st
 import networkx
 import pytest
 
-from conftest import random_connected_graph, seeded_rng
+from conftest import (base_corpus, pairs_3_connected, perturb,
+                      random_connected_graph, seeded_rng, subdivide)
 from polymap.generators import hex_torus, tetrahedron, truncate
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import (check_3_connected, check_closed_2cell,
@@ -134,3 +137,76 @@ def test_wheel_on_corpus_perturbations_implies_polyhedral_parts(corpus):
         report = check_polyhedral(topology(rs))
         if report.wheel_neighborhood:
             assert report.three_connected and report.closed_2cell
+
+
+def random_graph(rng, num_vertices, edge_prob, loop_prob):
+    """A symmetric graph, possibly disconnected, with self-loops."""
+    vs = ["r%d" % i for i in range(num_vertices)]
+    adj = {v: set() for v in vs}
+    for u, w in itertools.combinations_with_replacement(vs, 2):
+        if rng.random() < (loop_prob if u == w else edge_prob):
+            adj[u].add(w)
+            adj[w].add(u)
+    return {v: tuple(sorted(row)) for v, row in adj.items()}
+
+
+def test_3_connectivity_witness_matches_pair_deletion_on_random_graphs():
+    """Verdict and witness equal the brute-force pair loop's: sizes 1 to
+    11, sparse (pendant vertices, disconnected) to dense, with loops."""
+    rng = seeded_rng(9)
+    for trial in range(1500):
+        graph = random_graph(rng, rng.randint(1, 11),
+                             rng.choice((0.15, 0.3, 0.5, 0.8)),
+                             rng.choice((0.0, 0.3)))
+        assert check_3_connected(graph) == pairs_3_connected(graph), \
+            (trial, graph)
+
+
+def test_3_connectivity_lone_vertex_piece_does_not_separate():
+    """G - a has two pieces, the lone pendant b and a K4, so {a, b}
+    leaves the K4 connected and the first separating pair is {a, c}."""
+    k4 = "cdef"
+    graph = {"a": ("b", "c", "d"), "b": ("a",)}
+    for v in k4:
+        graph[v] = tuple(w for w in k4 if w != v) + (("a",) if v in "cd"
+                                                     else ())
+    assert check_3_connected(graph) == pairs_3_connected(graph) \
+        == (False, ("a", "c"))
+    # the same shape with the lone vertex last in sorted order
+    relabel = {"a": "a", "b": "z", "c": "c", "d": "d", "e": "e", "f": "f"}
+    moved = {relabel[v]: tuple(relabel[w] for w in row)
+             for v, row in graph.items()}
+    assert check_3_connected(moved) == pairs_3_connected(moved)
+
+
+def test_3_connectivity_witness_on_every_subdivided_edge():
+    host = hex_torus(4, 4)
+    for edge in host.edges:
+        graph = subdivide(host, edge, 1).adjacency()
+        got = check_3_connected(graph)
+        assert got == pairs_3_connected(graph), edge
+        assert not got[0] and got[1]
+
+
+def test_3_connectivity_witness_on_perturb_mutants():
+    rng = seeded_rng(10)
+    small = [rs for rs in base_corpus().values() if len(rs.vertices) <= 40]
+    small += [truncate(rs) for rs in small if len(rs.vertices) <= 10]
+    for _ in range(50):
+        rs = perturb(small[rng.randrange(len(small))], rng,
+                     moves=rng.randint(1, 3))
+        graph = rs.adjacency()
+        assert check_3_connected(graph) == pairs_3_connected(graph)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.integers(0, 9),
+                  st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                           max_size=30))
+def test_3_connectivity_property(num_vertices, pairs):
+    graph = {v: set() for v in range(num_vertices)}
+    for u, w in pairs:
+        if u < num_vertices and w < num_vertices:
+            graph[u].add(w)
+            graph[w].add(u)
+    assert check_3_connected(graph) == pairs_3_connected(graph)
