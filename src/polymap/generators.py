@@ -46,6 +46,35 @@ def _hex_vertex(kind, i, j):
     return "%s%d.%d" % (kind, i, j)
 
 
+def _hex_lattice(p, q, twist):
+    """The hexagonal cylinder with its j-direction wrap column reglued:
+    cell i meets cell -i (mod p) when ``twist``, else cell i, and only
+    a twisted wrap gives the p reglued edges signature -1."""
+    _check_params(p, q)
+    neighbors = {}
+    negative = []
+    for i in range(p):
+        wrap = (-i) % p if twist else i
+        for j in range(q):
+            down = (_hex_vertex("b", i, j - 1) if j > 0
+                    else _hex_vertex("b", wrap, q - 1))
+            neighbors[_hex_vertex("a", i, j)] = [
+                _hex_vertex("b", i, j),
+                _hex_vertex("b", (i - 1) % p, j),
+                down,
+            ]
+            up = (_hex_vertex("a", i, j + 1) if j < q - 1
+                  else _hex_vertex("a", wrap, 0))
+            neighbors[_hex_vertex("b", i, j)] = [
+                up,
+                _hex_vertex("a", i, j),
+                _hex_vertex("a", (i + 1) % p, j),
+            ]
+        if twist:
+            negative.append((_hex_vertex("a", i, 0), _hex_vertex("b", wrap, q - 1)))
+    return RotationSystem.from_rotations(neighbors, negative_edges=negative)
+
+
 def hex_torus(p, q):
     """3-regular hexagonal map on the torus: 2pq vertices, pq hexagons.
 
@@ -53,21 +82,7 @@ def hex_torus(p, q):
     i mod p, j mod q; each a connects to the b of its own cell and the
     cells one step back in each lattice direction.
     """
-    _check_params(p, q)
-    neighbors = {}
-    for i in range(p):
-        for j in range(q):
-            neighbors[_hex_vertex("a", i, j)] = [
-                _hex_vertex("b", i, j),
-                _hex_vertex("b", (i - 1) % p, j),
-                _hex_vertex("b", i, (j - 1) % q),
-            ]
-            neighbors[_hex_vertex("b", i, j)] = [
-                _hex_vertex("a", i, (j + 1) % q),
-                _hex_vertex("a", i, j),
-                _hex_vertex("a", (i + 1) % p, j),
-            ]
-    return RotationSystem.from_rotations(neighbors)
+    return _hex_lattice(p, q, twist=False)
 
 
 def tri_torus(p, q):
@@ -97,27 +112,7 @@ def hex_klein(p, q):
     the j direction is reglued through the reflection i -> -i (mod p);
     the p reglued edges carry signature -1.
     """
-    _check_params(p, q)
-    neighbors = {}
-    negative = []
-    for i in range(p):
-        for j in range(q):
-            down = (_hex_vertex("b", i, (j - 1) % q) if j > 0
-                    else _hex_vertex("b", (-i) % p, q - 1))
-            neighbors[_hex_vertex("a", i, j)] = [
-                _hex_vertex("b", i, j),
-                _hex_vertex("b", (i - 1) % p, j),
-                down,
-            ]
-            up = (_hex_vertex("a", i, (j + 1) % q) if j < q - 1
-                  else _hex_vertex("a", (-i) % p, 0))
-            neighbors[_hex_vertex("b", i, j)] = [
-                up,
-                _hex_vertex("a", i, j),
-                _hex_vertex("a", (i + 1) % p, j),
-            ]
-        negative.append((_hex_vertex("a", i, 0), _hex_vertex("b", (-i) % p, q - 1)))
-    return RotationSystem.from_rotations(neighbors, negative_edges=negative)
+    return _hex_lattice(p, q, twist=True)
 
 
 def truncate(rs):

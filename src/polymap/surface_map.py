@@ -16,6 +16,8 @@ to the rotation successor there (predecessor while the accumulated
 signature is negative).  The trace walks over ``(dart, side)`` pairs so
 that every dart is seen from both of its sides exactly once; each face
 is traced once per direction, and the direction traced first is kept.
+Construction stores each edge's two ends once and runs one signed
+spanning search, which checks connectivity and decides orientability.
 
 Vertex and edge identifiers are plain strings throughout (the map file
 format and the generators only ever produce strings); any hashable,
@@ -25,7 +27,7 @@ sortable identifiers work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import StructureError
 
@@ -62,33 +64,41 @@ class RotationSystem:
     sorted order and rotations left to right, the first occurrence of an
     edge becomes end 0.  Parsing and serialising use the same scan
     order, which makes the file round trip reproduce the object exactly.
+    ``orientable`` is decided during construction by the same signed
+    spanning search that checks the graph is connected.
     """
 
     def __init__(self, rotation_edges, signature=None):
         if not rotation_edges:
             raise StructureError("rotation system has no vertices")
         self.vertices = tuple(sorted(rotation_edges))
-        seen = {}
+        ends = {}
         rotation = {}
+        self._dart_vertex = {}
+        self._dart_pos = {}
         for v in self.vertices:
             row = tuple(rotation_edges[v])
             if not row:
                 raise StructureError("vertex %r has an empty rotation" % (v,))
             darts = []
             for e in row:
-                end = seen.get(e, 0)
-                if end > 1:
+                at = ends.setdefault(e, [])
+                if len(at) > 1:
                     raise StructureError(
                         "edge %r appears more than twice" % (e,))
-                seen[e] = end + 1
-                darts.append(Dart(e, end))
+                d = Dart(e, len(at))
+                self._dart_vertex[d] = v
+                self._dart_pos[d] = len(darts)
+                darts.append(d)
+                at.append(v)
             rotation[v] = tuple(darts)
-        bad = sorted(e for e, n in seen.items() if n != 2)
+        bad = sorted(e for e, at in ends.items() if len(at) != 2)
         if bad:
             raise StructureError(
                 "edge %r must appear exactly twice, found once" % (bad[0],))
         self.rotation = rotation
-        self.edges = tuple(sorted(seen))
+        self.edges = tuple(sorted(ends))
+        self._ends = {e: tuple(at) for e, at in ends.items()}
         sig = {e: 1 for e in self.edges}
         for e, s in (signature or {}).items():
             if e not in sig:
@@ -97,14 +107,7 @@ class RotationSystem:
                 raise StructureError("signature of %r must be +1 or -1" % (e,))
             sig[e] = s
         self.signature = sig
-
-        self._dart_vertex = {}
-        self._dart_pos = {}
-        for v in self.vertices:
-            for i, d in enumerate(rotation[v]):
-                self._dart_vertex[d] = v
-                self._dart_pos[d] = i
-        self._check_connected()
+        self.orientable = self._signed_search()
 
     @classmethod
     def from_rotations(cls, neighbors, negative_edges=()):
@@ -131,26 +134,31 @@ class RotationSystem:
             signature[_pair_edge(u, w)] = -1
         return cls(rotation_edges, signature)
 
-    def _check_connected(self):
-        endpoint = {}
-        for d, v in self._dart_vertex.items():
-            endpoint.setdefault(d.edge, []).append(v)
-        adj = {v: set() for v in self.vertices}
-        for u, w in endpoint.values():
-            adj[u].add(w)
-            adj[w].add(u)
-        seen = {self.vertices[0]}
+    def _signed_search(self):
+        # One spanning search checks connectivity and orientability: each
+        # newly reached vertex is flipped so that the edge reaching it
+        # reads +1, and the map is orientable iff every other edge then
+        # reads +1 too.  A negative loop always reads -1 (a crosscap).
+        sig, ends = self.signature, self._ends
+        flip = {self.vertices[0]: 1}
         stack = [self.vertices[0]]
+        orientable = True
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            v = stack.pop()
+            for e, end in self.rotation[v]:
+                w = ends[e][1 - end]
+                s = flip[v] * sig[e]
+                if w not in flip:
+                    flip[w] = s
                     stack.append(w)
-        if len(seen) != len(self.vertices):
-            missing = sorted(set(self.vertices) - seen)
+                elif flip[w] != s:
+                    orientable = False
+        if len(flip) != len(self.vertices):
+            missing = sorted(set(self.vertices) - set(flip))
             raise StructureError(
                 "underlying graph is disconnected (vertex %r unreachable)"
                 % (missing[0],))
+        return orientable
 
     # -- basic accessors -------------------------------------------------
 
@@ -163,7 +171,7 @@ class RotationSystem:
 
     def endpoints(self, e):
         """Both endpoints of edge ``e`` in end order (equal for a loop)."""
-        return (self._dart_vertex[Dart(e, 0)], self._dart_vertex[Dart(e, 1)])
+        return self._ends[e]
 
     def adjacency(self):
         """Underlying simple adjacency: vertex -> sorted neighbour tuple.
@@ -172,8 +180,7 @@ class RotationSystem:
         path machinery, which works on the abstract graph.
         """
         adj = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, w = self.endpoints(e)
+        for u, w in self._ends.values():
             if u != w:
                 adj[u].add(w)
                 adj[w].add(u)
@@ -212,8 +219,8 @@ def _trace_walks(rs):
     """Raw two-sided face trace: orbits over (dart, side) states.
 
     Starts are taken in (dart, side +1 before -1) order, so each orbit
-    begins at its smallest state, and of a face's two mirror orbits the
-    one traced first holds the smaller state; it is kept as traced.
+    begins at its smallest state.  An orbit is decided as it closes:
+    kept as traced if its mirror is not traced yet, dropped if it is.
     """
     sig, vertex_of, pos = rs.signature, rs._dart_vertex, rs._dart_pos
 
@@ -225,26 +232,23 @@ def _trace_walks(rs):
         return (rot[(pos[opp] + side) % len(rot)], side)
 
     orbit_of = {}
-    orbits = []
+    walks = []
     for start in ((d, s) for d in sorted(vertex_of) for s in (1, -1)):
         if start in orbit_of:
             continue
         orbit = []
         cur = start
         while cur not in orbit_of:
-            orbit_of[cur] = len(orbits)
+            orbit_of[cur] = start
             orbit.append(cur)
             cur = step(cur)
         if cur != start:
             raise StructureError("face trace did not close at %r" % (cur,))
-        orbits.append(orbit)
-    walks = []
-    for i, orbit in enumerate(orbits):
-        d, side = orbit[0]
-        j = orbit_of[(d.opposite(), -side * sig[d.edge])]
-        if j == i:
+        d, side = start
+        mirror = orbit_of.get((d.opposite(), -side * sig[d.edge]))
+        if mirror == start:
             raise StructureError("facial walk is its own mirror image")
-        if i < j:
+        if mirror is None:
             walks.append(orbit)
     # By smallest dart; two faces may share it, seen from its two
     # sides, and then side -1 comes first, unlike in the trace order.
@@ -271,7 +275,7 @@ class MapTopology:
         face_degrees: degree of each face, indexed like ``faces``.
         vertex_degrees: vertex -> degree.
         euler_characteristic: V - E + F.
-        orientable: decided by spanning-tree sign normalisation.
+        orientable: ``rs.orientable``, from the construction's search.
         vertex_faces: vertex -> tuple of face indices, one per corner in
             rotation order (corner ``t`` sits between rotation darts
             ``t`` and ``t+1``); repeated indices are repeated incidences.
@@ -312,7 +316,7 @@ class MapTopology:
         self.vertex_degrees = {v: rs.degree(v) for v in rs.vertices}
         self.euler_characteristic = (
             len(rs.vertices) - len(rs.edges) + len(self.faces))
-        self.orientable = _is_orientable(rs)
+        self.orientable = rs.orientable
 
     @property
     def num_vertices(self):
@@ -357,27 +361,3 @@ def topology(rs):
     """Trace ``rs`` and assemble the full :class:`MapTopology`."""
     return MapTopology(rs)
 
-
-def _is_orientable(rs):
-    # Re-orient vertices along a spanning tree so that tree edges carry
-    # signature +1; the embedding is orientable iff every remaining edge
-    # then carries +1 as well.  A negative loop is a crosscap and fails
-    # immediately (vertex flips cancel on it).
-    flip = {rs.vertices[0]: 1}
-    stack = [rs.vertices[0]]
-    tree = set()
-    while stack:
-        v = stack.pop()
-        for d in rs.rotation[v]:
-            w = rs.dart_vertex(d.opposite())
-            if w not in flip:
-                flip[w] = flip[v] * rs.signature[d.edge]
-                tree.add(d.edge)
-                stack.append(w)
-    for e in rs.edges:
-        if e in tree:
-            continue
-        u, w = rs.endpoints(e)
-        if flip[u] * rs.signature[e] * flip[w] != 1:
-            return False
-    return True

@@ -127,7 +127,13 @@ class _Space:
 
 
 def _iter_states(space, n, budget, start_order=None):
-    """All length-n states in lexicographic order (or by given starts)."""
+    """All length-n states in lexicographic order (or by given starts).
+
+    A simple n-path needs n + 1 distinct vertices, so for n >= V there
+    is none and no search is run.
+    """
+    if n >= len(space.names):
+        return
     count = 0
     starts = range(len(space.names)) if start_order is None else start_order
     for s in starts:

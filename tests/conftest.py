@@ -7,7 +7,7 @@ import pytest
 
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
-from polymap.surface_map import RotationSystem, topology
+from polymap.surface_map import Dart, RotationSystem, topology
 from polymap.validity import check_polyhedral
 
 
@@ -120,6 +120,37 @@ def _component_count(adj, removed):
                     stack.append(w)
     return count
 
+
+def dart_endpoints(rs, e):
+    """Both ends of edge ``e`` read from its darts, not ``endpoints()``."""
+    return rs.dart_vertex(Dart(e, 0)), rs.dart_vertex(Dart(e, 1))
+
+
+def signed_tree_orientable(rs):
+    """Orientability by its own spanning search and a second edge pass.
+    The oracle for ``RotationSystem.orientable``."""
+    # Re-orient vertices along a spanning tree so that tree edges carry
+    # signature +1; the embedding is orientable iff every remaining edge
+    # then carries +1 as well.  A negative loop is a crosscap and fails
+    # immediately (vertex flips cancel on it).
+    flip = {rs.vertices[0]: 1}
+    stack = [rs.vertices[0]]
+    tree = set()
+    while stack:
+        v = stack.pop()
+        for d in rs.rotation[v]:
+            w = rs.dart_vertex(d.opposite())
+            if w not in flip:
+                flip[w] = flip[v] * rs.signature[d.edge]
+                tree.add(d.edge)
+                stack.append(w)
+    for e in rs.edges:
+        if e in tree:
+            continue
+        u, w = dart_endpoints(rs, e)
+        if flip[u] * rs.signature[e] * flip[w] != 1:
+            return False
+    return True
 
 # -- maps built by hand for edge cases ------------------------------------
 

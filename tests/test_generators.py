@@ -1,5 +1,8 @@
 """The built-in map families: counts, types, determinism."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
@@ -87,3 +90,18 @@ def test_generators_are_deterministic(corpus):
         assert serialize_map(rs) == serialize_map(corpus[name]), name
         assert serialize_map(truncate(rs)) == \
             serialize_map(truncate(corpus[name])), name
+
+
+@pytest.mark.parametrize("build,digest", [
+    (hex_torus,
+     "99d9c9ed3faffead9a33d6eb9acc537c6e54da4d83cdaa82b163bd4ef493f333"),
+    (hex_klein,
+     "0774a8cde3d6f486e805331edbfcd72a096c8dd4e888799f28794354008be535"),
+])
+def test_hex_families_are_byte_identical(build, digest):
+    """SHA-256 over the map files of p, q = 3..6, taken when each family
+    still had a builder of its own."""
+    h = hashlib.sha256()
+    for p, q in itertools.product(range(3, 7), repeat=2):
+        h.update(serialize_map(build(p, q)).encode())
+    assert h.hexdigest() == digest

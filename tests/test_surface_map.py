@@ -1,8 +1,14 @@
 """Rotation systems, face tracing, and derived topology."""
 
+import random
+
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from conftest import perturb, seeded_rng
+from conftest import (dart_endpoints, full_corpus, perturb, seeded_rng,
+                      signed_tree_orientable)
+from polymap.mapfile import parse_map
 from polymap.errors import StructureError
 from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import Dart, RotationSystem, topology, trace_faces
@@ -146,6 +152,18 @@ def test_relabeling_preserves_invariants():
         assert sorted(top.face_degrees) == sorted(base.face_degrees)
 
 
+def _switch(rs, v):
+    """Reverse the rotation at ``v`` and negate its non-loop edges."""
+    rot = {u: [d.edge for d in rs.rotation[u]] for u in rs.vertices}
+    rot[v].reverse()
+    sig = dict(rs.signature)
+    for e in set(rot[v]):
+        u, w = rs.endpoints(e)
+        if u != w:
+            sig[e] = -sig[e]
+    return RotationSystem(rot, sig)
+
+
 def test_local_reorientation_preserves_surface():
     """Reversing one vertex's rotation and flipping the signature of its
     non-loop edges is a re-embedding of the same map on the same
@@ -155,17 +173,63 @@ def test_local_reorientation_preserves_surface():
         base = topology(rs)
         for _ in range(5):
             v = rs.vertices[rng.randrange(len(rs.vertices))]
-            rot = {u: [d.edge for d in rs.rotation[u]] for u in rs.vertices}
-            rot[v] = rot[v][::-1]
-            sig = dict(rs.signature)
-            for e in set(rot[v]):
-                u, w = rs.endpoints(e)
-                if u != w:
-                    sig[e] = -sig[e]
-            top = topology(RotationSystem(rot, sig))
+            top = topology(_switch(rs, v))
             assert top.euler_characteristic == base.euler_characteristic
             assert top.orientable == base.orientable
             assert sorted(top.face_degrees) == sorted(base.face_degrees)
+
+
+_CORPUS = full_corpus()
+
+
+def test_one_vertex_maps():
+    sphere = topology(parse_map("v a: e+ e+\n"))
+    assert (sphere.euler_characteristic, sphere.orientable) == (2, True)
+    plane = topology(parse_map("v a: e+ e-\n"))
+    assert (plane.euler_characteristic, plane.orientable) == (1, False)
+
+
+def test_stored_ends_and_orientability_match_the_darts():
+    """Endpoints, adjacency and orientability, read from the edge ends
+    stored at construction, against the dart lookups and the two-pass
+    spanning-tree test, on the corpus, perturb mutants and both
+    one-vertex maps (one not orientable)."""
+    maps = list(_CORPUS.values())
+    maps += [parse_map("v a: e+ e+\n"), parse_map("v a: e+ e-\n")]
+    rng = seeded_rng(104)
+    bases = sorted(_CORPUS)
+    for _ in range(300):
+        base = _CORPUS[bases[rng.randrange(len(bases))]]
+        maps.append(perturb(base, rng, moves=rng.randint(1, 3)))
+    assert {signed_tree_orientable(rs) for rs in maps} == {True, False}
+    for rs in maps:
+        assert topology(rs).orientable == signed_tree_orientable(rs)
+        adj = {v: set() for v in rs.vertices}
+        for e in rs.edges:
+            u, w = dart_endpoints(rs, e)
+            assert rs.endpoints(e) == (u, w), e
+            if u != w:
+                adj[u].add(w)
+                adj[w].add(u)
+        assert rs.adjacency() == {v: tuple(sorted(ws))
+                                  for v, ws in adj.items()}
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.sampled_from(sorted(_CORPUS)), st.integers(0, 2**32),
+                  st.integers(0, 4), st.integers(0, 10**6))
+def test_local_switch_property(name, seed, moves, pick):
+    """A local switch re-embeds the same map on the same surface, so
+    chi, orientability and the face degrees must not change, whatever
+    the (perturbed, often chi < 0) surface is."""
+    rs = perturb(_CORPUS[name], random.Random(seed), moves=moves)
+    switched = _switch(rs, rs.vertices[pick % len(rs.vertices)])
+    before, after = topology(rs), topology(switched)
+    assert after.euler_characteristic == before.euler_characteristic
+    assert after.orientable == before.orientable
+    assert sorted(after.face_degrees) == sorted(before.face_degrees)
+    assert before.orientable == signed_tree_orientable(rs)
+    assert after.orientable == signed_tree_orientable(switched)
 
 
 def test_perturbed_systems_still_trace_cleanly():

@@ -1,16 +1,18 @@
 """Path states, transfer moves, the transfer digraph, and stuck paths."""
 
+import signal
+
 import networkx
 import pytest
 
 from polymap.errors import BudgetError, StructureError
 from polymap.generators import hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
-from polymap.transferability import (DEFAULT_BUDGET, PathState,
-                                     build_transfer_digraph, enumerate_paths,
-                                     find_stuck, is_n_transferable,
-                                     longest_path_bound, steps,
-                                     transferability)
+from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
+                                     PathState, build_transfer_digraph,
+                                     enumerate_paths, find_stuck,
+                                     is_n_transferable, longest_path_bound,
+                                     n_verdict, steps, transferability)
 
 from conftest import (complete_graph, cycle_graph, petersen_graph,
                       random_connected_graph, seeded_rng)
@@ -216,3 +218,26 @@ def test_graph_input_validation():
         enumerate_paths({"a": ("b",)}, 1)  # dangling neighbor
     with pytest.raises(StructureError):
         enumerate_paths({"a": ("b",), "b": ()}, 1)  # asymmetric
+
+
+def test_no_search_when_n_reaches_the_vertex_count():
+    """A simple n-path needs n + 1 distinct vertices, so for n >= V the
+    answer needs no search.  K11 has about 10^8 shorter simple paths,
+    which a search would walk without ever charging the budget."""
+    def searched(signum, frame):
+        raise TimeoutError
+
+    k11 = complete_graph(11)
+    old = signal.signal(signal.SIGALRM, searched)
+    signal.alarm(10)
+    try:
+        got = (n_verdict(k11, 11), n_verdict(k11, 200, budget=1),
+               enumerate_paths(k11, 11), find_stuck(k11, 11))
+    except TimeoutError:
+        got = "still searching for n-paths after 10 s"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == (NPathVerdict(11, False, "no-n-path", 0, 0),
+                   NPathVerdict(200, False, "no-n-path", 0, 0), (), None)
+    assert len(enumerate_paths(complete_graph(4), 3)) == 24
