@@ -62,7 +62,6 @@ from .transferability import (
     enumerate_paths,
     find_stuck,
     is_n_transferable,
-    longest_path_bound,
     n_verdict,
     steps,
     transferability,

@@ -4,9 +4,10 @@ Subcommands: ``analyze``, ``check``, ``discharge``, ``transfer``,
 ``stuck``, ``gen``, ``export-digraph``.  Map files are read from a path
 or from stdin as ``-``.  Exit codes: 0 success, 1 a checked property
 fails (not polyhedral, not transferable, no stuck path, audit
-contradiction), 2 malformed input or parameters, 3 state budget
-exceeded, 4 internal error (a cross-check inside polymap contradicted
-itself, a bug in this package), reported as one line on stderr.
+contradiction), 2 malformed input or parameters, 3 path-extension
+budget exceeded, 4 internal error (a cross-check inside polymap
+contradicted itself, a bug in this package), reported as one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ _FAMILIES = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_n", None) is not None and not args.sweep:
+        parser.error("argument --max-n: only allowed with argument --sweep")
     try:
         return args.handler(args)
     except (MapFormatError, StructureError, ValueError) as exc:
@@ -62,7 +65,7 @@ def _build_parser():
                         help="report format (default text)")
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
-                        help="state budget for the search")
+                        help="cap on path extensions in the search")
 
     parser = argparse.ArgumentParser(
         prog="polymap",

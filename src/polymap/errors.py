@@ -21,10 +21,11 @@ class MapFormatError(MapError):
 
 
 class BudgetError(MapError):
-    """A state-space search exceeded its configured budget.
+    """The path search exceeded its configured budget.
 
-    ``count`` is the number of states (or search steps) seen before
-    giving up; the true total is at least that.
+    ``count`` is the number of path extensions made before giving up
+    (prefixes included, so it can exceed the number of n-paths); the
+    true total is at least that.
     """
 
     def __init__(self, message, count):

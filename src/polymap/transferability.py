@@ -11,8 +11,9 @@ The decision procedure materialises the transfer digraph -- one node
 per directed n-path, one arc per move -- and checks that it is a single
 strongly connected component.  States are stored in canonical
 (lexicographic) order, so indices, arcs and verdicts are reproducible.
-State counts grow quickly with n; a configurable budget aborts runs
-that would not fit in memory.
+State counts grow quickly with n; a configurable budget on path
+extensions -- every step of the one path search, prefixes included --
+aborts runs that would not fit in memory or time.
 
 Graphs are plain adjacency mappings (vertex -> iterable of neighbours),
 e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
@@ -21,6 +22,7 @@ and parallel edges are meaningless here, so only simple graphs apply.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -42,9 +44,11 @@ __all__ = [
     "is_n_transferable",
     "transferability",
     "find_stuck",
-    "longest_path_bound",
 ]
 
+# The 1..13 sweep on either 54-vertex cubic map (truncate(hex_torus(3, 3))
+# and its Klein-bottle twin) needs at most 374 814 extensions for one n,
+# at n = 13: 13x headroom.
 DEFAULT_BUDGET = 5_000_000
 
 
@@ -129,29 +133,44 @@ class _Space:
 def _iter_states(space, n, budget, start_order=None):
     """All length-n states in lexicographic order (or by given starts).
 
-    A simple n-path needs n + 1 distinct vertices, so for n >= V there
-    is none and no search is run.
+    The only path search: the current path is a list with an on-path
+    flag per vertex and one neighbour iterator per depth, and a state
+    is packed only at depth n.  Every extension, of a prefix or to a
+    full n-path, is charged against ``budget``.  A simple n-path needs
+    n + 1 distinct vertices, so for n >= V there is none and no search
+    is run.
     """
     if n >= len(space.names):
         return
+    adj, pack = space.adj, space.pack
+    on_path = bytearray(len(space.names))
     count = 0
     starts = range(len(space.names)) if start_order is None else start_order
     for s in starts:
-        stack = [space.single(s)]
-        while stack:
-            p = stack.pop()
-            if len(p) == n + 1:
+        path = [s]
+        on_path[s] = 1
+        nexts = [iter(adj[s])]
+        while nexts:
+            for w in nexts[-1]:
+                if on_path[w]:
+                    continue
                 count += 1
                 if count > budget:
                     raise BudgetError(
-                        "more than %d directed %d-paths; "
-                        "raise the budget to enumerate them" % (budget, n),
-                        count)
-                yield p
-                continue
-            for w in reversed(space.adj[p[-1]]):
-                if w not in p:
-                    stack.append(p + space.single(w))
+                        "more than %d path extensions while enumerating "
+                        "directed %d-paths; raise the budget to enumerate "
+                        "them" % (budget, n), count)
+                path.append(w)
+                if len(path) > n:
+                    yield pack(path)
+                    path.pop()
+                    continue
+                on_path[w] = 1
+                nexts.append(iter(adj[w]))
+                break
+            else:
+                nexts.pop()
+                on_path[path.pop()] = 0
 
 
 def _successor_targets(space, p):
@@ -352,7 +371,7 @@ class TransferabilityResult:
     ``value`` is the largest n up to ``search_bound`` found
     transferable (0 when none is); the sweep checks every n
     individually and assumes no monotonicity.  ``truncated_at`` names
-    the first n the state budget refused, or None.
+    the first n the budget refused, or None.
     """
 
     value: int
@@ -364,30 +383,29 @@ class TransferabilityResult:
 def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
     """Sweep n = 1..max_n and report the transferability value.
 
-    Without ``max_n`` the sweep runs to the graph's exact longest-path
-    length, which is itself found by exhaustive search and is only
-    feasible for small graphs.
+    Without ``max_n`` the sweep runs until the first n with no n-path,
+    which it leaves out, so ``search_bound`` is the graph's exact
+    longest-path length.  That is an exhaustive search, only feasible
+    for small graphs.
     """
-    if max_n is None:
-        max_n = longest_path_bound(graph, budget)
-    elif max_n < 1:
+    if max_n is not None and max_n < 1:
         raise ValueError("path length must be at least 1")
     per_n = []
     value = 0
     truncated_at = None
-    bound = 0
-    for n in range(1, max_n + 1):
+    for n in itertools.count(1) if max_n is None else range(1, max_n + 1):
         try:
             verdict = n_verdict(graph, n, budget)
         except BudgetError:
             truncated_at = n
             break
-        bound = n
+        if max_n is None and verdict.reason == "no-n-path":
+            break
         per_n.append(verdict)
         if verdict.transferable:
             value = n
     return TransferabilityResult(value=value, per_n=tuple(per_n),
-                                 search_bound=bound,
+                                 search_bound=len(per_n),
                                  truncated_at=truncated_at)
 
 
@@ -431,29 +449,3 @@ def _bfs_distances(space, source):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
-
-
-def longest_path_bound(graph, budget=DEFAULT_BUDGET):
-    """Exact longest simple path length, by exhaustive search.
-
-    Counts every path extension against the budget, so this is for
-    small graphs only; bigger sweeps should pass ``max_n`` explicitly.
-    """
-    space = _Space(graph)
-    best = 0
-    count = 0
-    for s in range(len(space.names)):
-        stack = [space.single(s)]
-        while stack:
-            p = stack.pop()
-            if len(p) - 1 > best:
-                best = len(p) - 1
-            for w in space.adj[p[-1]]:
-                if w not in p:
-                    count += 1
-                    if count > budget:
-                        raise BudgetError(
-                            "longest-path search exceeded %d extensions"
-                            % budget, count)
-                    stack.append(p + space.single(w))
-    return best

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from polymap.errors import BudgetError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import Dart, RotationSystem, topology
+from polymap.transferability import DEFAULT_BUDGET, _Space
 from polymap.validity import check_polyhedral
 
 
@@ -82,6 +84,60 @@ def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
         adj[u].append(w)
         adj[w].append(u)
     return {v: tuple(sorted(row)) for v, row in adj.items()}
+
+
+def iter_states_by_copies(space, n, budget, start_order=None):
+    """All length-n states in lexicographic order (or by given starts),
+    each stack entry a fresh copy of its path, and only emitted n-paths
+    charged against the budget.  The oracle for the state order of
+    ``transferability._iter_states``."""
+    if n >= len(space.names):
+        return
+    count = 0
+    starts = range(len(space.names)) if start_order is None else start_order
+    for s in starts:
+        stack = [space.single(s)]
+        while stack:
+            p = stack.pop()
+            if len(p) == n + 1:
+                count += 1
+                if count > budget:
+                    raise BudgetError(
+                        "more than %d directed %d-paths; "
+                        "raise the budget to enumerate them" % (budget, n),
+                        count)
+                yield p
+                continue
+            for w in reversed(space.adj[p[-1]]):
+                if w not in p:
+                    stack.append(p + space.single(w))
+
+
+def longest_path_bound(graph, budget=DEFAULT_BUDGET):
+    """Exact longest simple path length, by exhaustive search.
+
+    Counts every path extension against the budget, so this is for
+    small graphs only.  The oracle for ``transferability(graph)``'s
+    ``search_bound``.
+    """
+    space = _Space(graph)
+    best = 0
+    count = 0
+    for s in range(len(space.names)):
+        stack = [space.single(s)]
+        while stack:
+            p = stack.pop()
+            if len(p) - 1 > best:
+                best = len(p) - 1
+            for w in space.adj[p[-1]]:
+                if w not in p:
+                    count += 1
+                    if count > budget:
+                        raise BudgetError(
+                            "longest-path search exceeded %d extensions"
+                            % budget, count)
+                    stack.append(p + space.single(w))
+    return best
 
 
 def pairs_3_connected(graph):

@@ -222,20 +222,25 @@ def test_transfer_n_prints_the_sweep_row(capsys, monkeypatch, tmp_path, fmt):
         assert out == render({"transfer": row})
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--budget", "10"],
-    ["check", "--seed", "1"],
-    ["transfer", "--n", "2", "--seed", "1"],
-    ["gen", "tetrahedron", "--format", "json"],
-])
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--budget", "10"], "unrecognized arguments"),
+    (["check", "--seed", "1"], "unrecognized arguments"),
+    (["transfer", "--n", "2", "--seed", "1"], "unrecognized arguments"),
+    (["gen", "tetrahedron", "--format", "json"], "unrecognized arguments"),
+    (["transfer", "--n", "2", "--max-n", "0"],
+     "argument --max-n: only allowed with argument --sweep"),
+    (["transfer", "--max-n", "13", "--n", "2"],
+     "argument --max-n: only allowed with argument --sweep"),
+], ids=["argv%d" % i for i in range(6)])
 def test_options_a_command_does_not_use_are_rejected(capsys, monkeypatch,
-                                                     hex33_file, argv):
+                                                     hex33_file, argv,
+                                                     message):
     if argv[0] != "gen":
         argv = argv[:1] + [hex33_file] + argv[1:]
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,7 +268,7 @@ def test_budget_below_1_exits_2(capsys, monkeypatch, hex33_file, command,
     assert "argument --budget: must be at least 1" in capsys.readouterr().err
 
 
-def test_transfer_budget_exits_3(capsys, monkeypatch, hex33_file):
+def test_transfer_budget_exits_3(capsys, monkeypatch, hex33_file, tmp_path):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["transfer", hex33_file, "--n", "9",
                             "--budget", "100"])
@@ -275,6 +280,24 @@ def test_transfer_budget_exits_3(capsys, monkeypatch, hex33_file):
                             "--budget", "100", "--format", "json"])
     assert code == 3
     assert json.loads(out)["transfer"]["truncated_at"] is not None
+    # so does the default sweep, which has no longest-path search of its own
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["transfer", hex33_file, "--sweep",
+                            "--budget", "100", "--format", "json"])
+    assert code == 3
+    transfer = json.loads(out)["transfer"]
+    assert (transfer["truncated_at"], transfer["search_bound"]) == (2, 1)
+    # at n = V - 1 every shorter prefix is charged, so the search stops
+    # at the budget instead of walking every shorter path first
+    path = tmp_path / "th33.map"
+    path.write_text(serialize_map(truncate(hex_torus(3, 3))),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["transfer", str(path), "--n", "53",
+                              "--budget", "1000"])
+    assert (code, out) == (3, "")
+    assert err == ("error: more than 1000 path extensions while enumerating "
+                   "directed 53-paths; raise the budget to enumerate them\n")
 
 
 def test_stuck_exit_codes(capsys, monkeypatch, tmp_path):

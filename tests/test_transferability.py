@@ -9,12 +9,15 @@ from polymap.errors import BudgetError, StructureError
 from polymap.generators import hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
-                                     PathState, build_transfer_digraph,
+                                     PathState, _bfs_distances,
+                                     _iter_states, _Space,
+                                     build_transfer_digraph,
                                      enumerate_paths, find_stuck,
-                                     is_n_transferable, longest_path_bound,
-                                     n_verdict, steps, transferability)
+                                     is_n_transferable, n_verdict, steps,
+                                     transferability)
 
-from conftest import (complete_graph, cycle_graph, petersen_graph,
+from conftest import (complete_graph, cycle_graph, iter_states_by_copies,
+                      longest_path_bound, petersen_graph,
                       random_connected_graph, seeded_rng)
 
 
@@ -183,10 +186,50 @@ def test_stuck_paths():
 
 
 def test_longest_path_bound():
-    assert longest_path_bound(complete_graph(4)) == 3
-    assert longest_path_bound(cycle_graph(5)) == 4
+    """Without ``max_n`` the sweep stops at the first n with no n-path
+    and leaves that row out, so its bound is the longest path length."""
+    assert transferability(complete_graph(4)).search_bound == 3
+    assert transferability(cycle_graph(5)).search_bound == 4
     hex33 = topology(hex_torus(3, 3)).rs.adjacency()
-    assert longest_path_bound(hex33) >= 12
+    result = transferability(hex33)
+    assert result.search_bound == 17  # a Hamiltonian path on 18 vertices
+    assert [r.n for r in result.per_n] == list(range(1, 18))
+    assert result.truncated_at is None
+
+
+def _random_cases():
+    rng = seeded_rng(611)
+    for trial in range(40):
+        yield "random-%d" % trial, random_connected_graph(
+            rng, 1 + trial % 10), rng
+
+
+def test_states_match_the_copying_search():
+    """The path search yields the states of the copying oracle in the
+    same order, lexicographic or anchored, bytes- or tuple-packed."""
+    for name, graph, rng in _random_cases():
+        space = _Space(graph)
+        anchor = rng.randrange(len(space.names))
+        dist = _bfs_distances(space, anchor)
+        anchored = sorted(range(len(space.names)), key=lambda i: (dist[i], i))
+        for n in range(1, len(space.names) + 1):
+            for order in (None, anchored):
+                assert list(_iter_states(space, n, DEFAULT_BUDGET, order)) == \
+                    list(iter_states_by_copies(space, n, DEFAULT_BUDGET,
+                                               order)), (name, n, order)
+    space = _Space(cycle_graph(300))
+    assert space.pack is tuple
+    anchored = list(range(150, 300)) + list(range(150))
+    for n in (1, 2, 150, 299):
+        for order in (None, anchored):
+            assert list(_iter_states(space, n, DEFAULT_BUDGET, order)) == \
+                list(iter_states_by_copies(space, n, DEFAULT_BUDGET, order))
+
+
+def test_search_bound_is_the_longest_path():
+    for name, graph, _ in _random_cases():
+        assert transferability(graph).search_bound == \
+            longest_path_bound(graph), name
 
 
 def test_budget_enforcement():
@@ -194,8 +237,17 @@ def test_budget_enforcement():
     with pytest.raises(BudgetError) as info:
         build_transfer_digraph(petersen_graph(), 6, budget=50)
     assert info.value.count > 50
-    with pytest.raises(BudgetError):
-        longest_path_bound(petersen_graph(), budget=10)
+    # the budget charges every extension, prefixes included: Petersen
+    # has 60 directed 2-paths, reached by 30 + 60 extensions
+    assert len(enumerate_paths(petersen_graph(), 2, budget=90)) == 60
+    with pytest.raises(BudgetError) as info:
+        enumerate_paths(petersen_graph(), 2, budget=89)
+    assert info.value.count == 90
+    assert "more than 89 path extensions" in str(info.value)
+    # the default sweep truncates too: 30 directed edges exceed 10
+    result = transferability(petersen_graph(), budget=10)
+    assert (result.truncated_at, result.per_n) == (1, ())
+    assert (result.value, result.search_bound) == (0, 0)
     # sweeps truncate instead of raising
     result = transferability(petersen_graph(), max_n=9, budget=100)
     assert result.truncated_at is not None
@@ -241,3 +293,32 @@ def test_no_search_when_n_reaches_the_vertex_count():
     assert got == (NPathVerdict(11, False, "no-n-path", 0, 0),
                    NPathVerdict(200, False, "no-n-path", 0, 0), (), None)
     assert len(enumerate_paths(complete_graph(4), 3)) == 24
+
+
+def test_budget_trips_early_when_n_is_one_below_the_vertex_count():
+    """At n = V - 1 the search walks every shorter simple path before it
+    reaches depth n.  Those prefixes are charged, so a small budget
+    trips at once on the 54-vertex truncated hexagonal torus."""
+    def searched(signum, frame):
+        raise TimeoutError
+
+    th33 = truncate(hex_torus(3, 3)).adjacency()
+    calls = (lambda: n_verdict(th33, 53, budget=1000),
+             lambda: find_stuck(th33, 53, budget=1000),
+             lambda: enumerate_paths(th33, 53, budget=1000))
+    got = []
+    old = signal.signal(signal.SIGALRM, searched)
+    signal.alarm(10)
+    try:
+        for call in calls:
+            try:
+                call()
+                got.append("returned")
+            except BudgetError as exc:
+                got.append(exc.count)
+    except TimeoutError:
+        got.append("still searching for 53-paths after 10 s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == [1001, 1001, 1001]
