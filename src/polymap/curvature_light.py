@@ -31,6 +31,7 @@ __all__ = [
     "DEGREE_CAP",
     "LIGHT_TABLE",
     "UNBOUNDED",
+    "VERTEX_FACTOR",
     "LightPattern",
     "TheoremScan",
     "curvature",
@@ -61,10 +62,6 @@ class LightPattern:
 
     entries: tuple
     dagger: bool = False
-
-    @property
-    def arity(self):
-        return len(self.entries)
 
     def matches(self, vertex_type):
         vt = sorted(vertex_type)

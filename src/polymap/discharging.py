@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curvature_light import scan_theorem2
+from .curvature_light import DEGREE_CAP, scan_theorem2
 from .errors import StructureError
 from .validity import check_polyhedral
 
@@ -45,9 +45,9 @@ __all__ = [
     "lemma1_bound",
 ]
 
-# Face degree from which rule A4 fires (and above which the A3 tables
-# switch to their last band).
-HUGE = 2519
+# Face degree from which rule A4 fires (and from which the A3 tables
+# switch to their last band): just past the light table's cap.
+HUGE = DEGREE_CAP + 1
 
 # Rule A1: vertex of degree >= 4 pays each incident face of degree 3/4/5.
 _A1_AMOUNT = {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}

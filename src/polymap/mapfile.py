@@ -14,7 +14,8 @@ carry a free-form hint, which parsing ignores.
 Serialisation writes vertices in sorted order and signs each edge's
 first occurrence ``+``, so ``parse_map(serialize_map(rs))`` reproduces
 ``rs`` exactly; ids therefore must not contain whitespace or ``#``, and
-vertex ids must not contain ``:``.
+vertex ids must not contain ``:``.  Parsing rejects a vertex id with
+inner whitespace by the same rule that serialising applies.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ def parse_map(text):
         vertex = head.strip()
         if not sep or not vertex:
             raise MapFormatError("missing vertex id or ':'", lineno)
+        if _BAD_VERTEX_ID.search(vertex):
+            raise MapFormatError("vertex id %r has whitespace" % vertex, lineno)
         if vertex in rotation:
             raise MapFormatError("vertex %r listed twice" % vertex, lineno)
         row = []

@@ -4,7 +4,8 @@ A report is a plain nested structure (dicts, lists, scalars) that both
 renderers accept: ``render_json`` emits it verbatim as JSON, and
 ``render_text`` as stable indented ``key: value`` lines.  Exact
 rationals are serialized as ``num/den`` strings (integers included, so
-an Euler characteristic of zero prints as ``0/1``); counts stay plain
+an Euler characteristic of zero prints as ``0/1``), and both renderers
+print a ``Fraction`` left in a report the same way; counts stay plain
 integers.  Building is deterministic, so equal inputs give
 byte-identical reports.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .curvature_light import curvature, gauss_bonnet_sum
+from .curvature_light import curvature
 
 __all__ = [
     "fraction_str",
@@ -60,10 +61,10 @@ def validity_section(report):
 
 
 def curvature_section(top):
+    phi = {v: curvature(top, v) for v in top.rs.vertices}
     return {
-        "vertex_curvature": {v: fraction_str(curvature(top, v))
-                             for v in top.rs.vertices},
-        "total": fraction_str(gauss_bonnet_sum(top)),
+        "vertex_curvature": {v: fraction_str(c) for v, c in phi.items()},
+        "total": fraction_str(sum(phi.values(), Fraction(0))),
     }
 
 
@@ -155,18 +156,15 @@ def render_text(doc):
 
 
 def _render(node, depth, lines, label=None):
-    pad = "  " * depth
-    if label == "-":
-        prefix = pad + "-"
-    elif label is None:
-        prefix = pad
-    else:
-        prefix = "%s%s:" % (pad, label)
+    # ``label`` is printed as given: "key:" for a dict entry, "-" for a
+    # list item, so a key "-" still prints as "-:"
+    prefix = "  " * depth + (label or "")
     if isinstance(node, dict):
         if label is not None:
             lines.append(prefix)
         for key, value in node.items():
-            _render(value, depth + (label is not None), lines, label=str(key))
+            _render(value, depth + (label is not None), lines,
+                    label="%s:" % (key,))
     elif isinstance(node, (list, tuple)):
         if not node:
             lines.append("%s []" % prefix)
@@ -188,4 +186,6 @@ def _scalar(value):
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, Fraction):
+        return fraction_str(value)
     return str(value)

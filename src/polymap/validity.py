@@ -2,9 +2,12 @@
 
 The polyhedrality test is local: an embedding is a polyhedral map if
 and only if the faces around every vertex form a wheel (>= 3 spokes,
-possibly subdivided rim).  The global consequences (3-connectivity,
-closed 2-cell) are checked independently and cross-checked against the
-wheel verdict; a disagreement in the implied direction is a bug in this
+possibly subdivided rim).  Closed 2-cell, traced once per report,
+settles that each vertex's corners lie in distinct faces whose walks
+span consecutive spokes; the wheel loop checks the rest (>= 3 spokes,
+distinct spoke ends, a simple rim).  The global consequences
+(3-connectivity, closed 2-cell) are cross-checked against the wheel
+verdict; a disagreement in the implied direction is a bug in this
 package, not bad input, and raises RuntimeError.  3-connectivity runs
 one cut-vertex search on G - u for every vertex u, O(V * (V + E)) in
 all, and names the first separating pair in sorted order.
@@ -78,39 +81,34 @@ def check_closed_2cell(top):
 def check_wheel_neighborhood(top):
     """True iff the faces around every vertex form a wheel.
 
-    At each vertex v the incident faces must be pairwise distinct, and
-    the boundary arcs opposite v must chain into one simple cycle (the
-    rim, possibly subdivided) avoiding v.  Consecutive faces then share
-    exactly the spoke edge between them.  Requires a closed 2-cell
-    embedding; fails immediately otherwise.
+    Fails with the closed 2-cell witness on a map that is not closed
+    2-cell.  On one that is, each walk visits v once, so v's corners lie
+    in distinct faces and the walk through corner t runs between spokes
+    t and t+1.  Left to check at v: >= 3 spokes, spoke ends distinct and
+    not v, and a simple rim: the spoke ends plus each corner's interior.
     """
     closed, witness = check_closed_2cell(top)
     if not closed:
         return False, witness
+    return _wheel_on_closed(top)
+
+
+def _wheel_on_closed(top):
+    """The per-vertex wheel test; assumes a closed 2-cell map."""
     rs = top.rs
     for v in rs.vertices:
         k = rs.degree(v)
         if k < 3:
             return False, ("wheel", v, "fewer than 3 spokes")
-        faces = top.vertex_faces[v]
-        if len(set(faces)) != k:
-            return False, ("wheel", v, "incident faces not pairwise distinct")
-        hub = [rs.dart_vertex(d.opposite()) for d in rs.rotation[v]]
-        if v in hub or len(set(hub)) != k:
+        rim = [rs.dart_vertex(d.opposite()) for d in rs.rotation[v]]
+        if v in rim or len(set(rim)) != k:
             return False, ("wheel", v, "spoke endpoints not distinct")
-        rim = []
-        for t in range(k):
-            walk = top.faces[faces[t]].vertex_sequence
+        for f in top.vertex_faces[v]:
+            walk = top.faces[f].vertex_sequence
             i = walk.index(v)
-            arc = walk[i + 1:] + walk[:i]
-            a, b = hub[t], hub[(t + 1) % k]
-            if not arc or {arc[0], arc[-1]} != {a, b}:
-                return False, ("wheel", v, "corner of face %d does not span "
-                               "the two spokes" % faces[t])
-            if arc[0] != a:
-                arc = arc[::-1]
-            rim.extend(arc[:-1])
-        if v in rim or len(set(rim)) != len(rim):
+            # from v: a spoke end, the corner's interior, a spoke end
+            rim.extend((walk[i:] + walk[:i])[2:-1])
+        if len(set(rim)) != len(rim):
             return False, ("wheel", v, "rim is not a simple cycle")
     return True, None
 
@@ -218,10 +216,8 @@ def check_polyhedral(top):
     if w is not None:
         witnesses.append(w)
     closed, w = check_closed_2cell(top)
+    wheel, w = _wheel_on_closed(top) if closed else (False, w)
     if w is not None:
-        witnesses.append(w)
-    wheel, w = check_wheel_neighborhood(top)
-    if w is not None and w not in witnesses:
         witnesses.append(w)
     three, cut = check_3_connected(top.rs.adjacency())
     if not three:

@@ -10,7 +10,7 @@ from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import Dart, RotationSystem, topology
 from polymap.transferability import DEFAULT_BUDGET, _Space
-from polymap.validity import check_polyhedral
+from polymap.validity import check_closed_2cell, check_polyhedral
 
 
 def base_corpus():
@@ -175,6 +175,42 @@ def _component_count(adj, removed):
                     seen.add(w)
                     stack.append(w)
     return count
+
+
+def wheel_by_arcs(top):
+    """The wheel test with every per-corner check spelled out: faces
+    pairwise distinct at v, each corner's arc spanning its two spokes,
+    and the arcs reoriented and chained into the rim.  The oracle for
+    ``check_wheel_neighborhood``, verdict and witness alike."""
+    closed, witness = check_closed_2cell(top)
+    if not closed:
+        return False, witness
+    rs = top.rs
+    for v in rs.vertices:
+        k = rs.degree(v)
+        if k < 3:
+            return False, ("wheel", v, "fewer than 3 spokes")
+        faces = top.vertex_faces[v]
+        if len(set(faces)) != k:
+            return False, ("wheel", v, "incident faces not pairwise distinct")
+        hub = [rs.dart_vertex(d.opposite()) for d in rs.rotation[v]]
+        if v in hub or len(set(hub)) != k:
+            return False, ("wheel", v, "spoke endpoints not distinct")
+        rim = []
+        for t in range(k):
+            walk = top.faces[faces[t]].vertex_sequence
+            i = walk.index(v)
+            arc = walk[i + 1:] + walk[:i]
+            a, b = hub[t], hub[(t + 1) % k]
+            if not arc or {arc[0], arc[-1]} != {a, b}:
+                return False, ("wheel", v, "corner of face %d does not span "
+                               "the two spokes" % faces[t])
+            if arc[0] != a:
+                arc = arc[::-1]
+            rim.extend(arc[:-1])
+        if v in rim or len(set(rim)) != len(rim):
+            return False, ("wheel", v, "rim is not a simple cycle")
+    return True, None
 
 
 def dart_endpoints(rs, e):

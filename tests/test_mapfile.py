@@ -63,6 +63,7 @@ def test_sign_convention():
     ("v a: e+ f+\nv a: e+ f+\n", 2, "listed twice"),
     ("v a:\n", 1, "empty rotation"),
     ("v a e+\n", 1, "missing vertex id"),
+    ("v a: e+ f+\nv b c: e+ f+\n", 2, "has whitespace"),
     ("hello\n", 1, "expected a 'v"),
     ("v a: e+ f+ f-\n", 1, "appears once"),
 ])

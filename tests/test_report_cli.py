@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+import polymap.curvature_light
+import polymap.report
 import polymap.validity
 from polymap.cli import main
+from polymap.curvature_light import curvature
 from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
                                 truncate)
 from polymap.mapfile import parse_map, serialize_map
-from polymap.report import fraction_str, render_json, render_text
+from polymap.report import (curvature_section, fraction_str, render_json,
+                            render_text)
 from polymap.surface_map import topology
 
 
@@ -51,6 +55,33 @@ def test_render_text_shapes():
     assert text.count("-") >= 2  # one marker per list item
     assert not text.startswith(" ")
     assert text.endswith("\n")
+
+
+def test_render_text_keys_list_items_and_whole_fractions():
+    """A key "-" prints as a key, not as a list item, and a whole
+    Fraction prints as num/den in both renderers."""
+    doc = {"vertex_curvature": {"-": "1/2", "a": "0/1"},
+           "items": [{"x": 1}], "two": Fraction(2)}
+    text = render_text(doc)
+    assert "  -: 1/2\n" in text
+    assert "items:\n  -\n    x: 1\n" in text
+    assert "two: 2/1\n" in text
+    assert json.loads(render_json(doc))["two"] == "2/1"
+
+
+def test_curvature_section_evaluates_phi_once_per_vertex(monkeypatch):
+    calls = []
+
+    def counted(top, v):
+        calls.append(v)
+        return curvature(top, v)
+
+    monkeypatch.setattr(polymap.report, "curvature", counted)
+    monkeypatch.setattr(polymap.curvature_light, "curvature", counted)
+    top = topology(hex_torus(3, 3))
+    section = curvature_section(top)
+    assert sorted(calls) == sorted(top.rs.vertices)
+    assert section["total"] == "0/1"
 
 
 def test_render_json_round_trips():
@@ -108,6 +139,10 @@ def test_malformed_input_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["analyze", "/no/such/file.map"])
     assert code == 2
+    code, out, err = run_cli(capsys, monkeypatch, ["check", "-"],
+                             stdin="v a b: e+ e-\n")
+    assert code == 2 and out == ""
+    assert "line 1" in err and "whitespace" in err
 
 
 def test_discharge_json(capsys, monkeypatch, tmp_path):

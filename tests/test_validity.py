@@ -7,8 +7,10 @@ import hypothesis.strategies as st
 import networkx
 import pytest
 
+import polymap.validity
 from conftest import (base_corpus, pairs_3_connected, perturb,
-                      random_connected_graph, seeded_rng, subdivide)
+                      random_connected_graph, seeded_rng, subdivide,
+                      wheel_by_arcs)
 from polymap.generators import hex_torus, tetrahedron, truncate
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import (check_3_connected, check_closed_2cell,
@@ -210,3 +212,85 @@ def test_3_connectivity_property(num_vertices, pairs):
             graph[u].add(w)
             graph[w].add(u)
     assert check_3_connected(graph) == pairs_3_connected(graph)
+
+
+@pytest.fixture(scope="module")
+def wheel_tops(corpus):
+    """The corpus, 300 seeded perturb mutants of its smaller members,
+    every edge of hex_torus(4,4) subdivided 1 to 3 times, the hand-built
+    degenerate maps, and a triangle on the sphere."""
+    maps = list(corpus.values())
+    rng = seeded_rng(11)
+    small = [rs for rs in corpus.values() if len(rs.vertices) <= 40]
+    maps += [perturb(small[rng.randrange(len(small))], rng,
+                     moves=rng.randint(1, 3)) for _ in range(300)]
+    host = hex_torus(4, 4)
+    maps += [subdivide(host, edge, k) for edge in host.edges
+             for k in (1, 2, 3)]
+    triangle = RotationSystem({"a": ["ab", "ca"], "b": ["ab", "bc"],
+                               "c": ["bc", "ca"]})
+    maps += [theta_map(), loop_map(), doubled_edge_k4(),
+             subdivided_tetrahedron(), triangle]
+    return [topology(rs) for rs in maps]
+
+
+def test_wheel_matches_the_per_corner_oracle(wheel_tops):
+    """Dropping the checks closed 2-cell settles changes no verdict and
+    no witness, and each kind of wheel witness occurs."""
+    kinds = set()
+    for top in wheel_tops:
+        got = check_wheel_neighborhood(top)
+        assert got == wheel_by_arcs(top), top.rs.vertices
+        if got[1] is not None:
+            kinds.add(got[1][2] if got[1][0] == "wheel" else got[1][0])
+    assert kinds == {"face_vertex_repeat", "fewer than 3 spokes",
+                     "spoke endpoints not distinct",
+                     "rim is not a simple cycle"}
+
+
+def test_closed_2cell_settles_the_corners(corpus, wheel_tops):
+    """On a closed 2-cell map the faces at v's corners are pairwise
+    distinct, and the walk through corner t has v between hub[t] and
+    hub[t+1], the far ends of rotation darts t and t+1."""
+    closed_maps = 0
+    for top in wheel_tops:
+        if not check_closed_2cell(top)[0]:
+            continue
+        closed_maps += 1
+        rs = top.rs
+        for v in rs.vertices:
+            faces = top.vertex_faces[v]
+            k = len(faces)
+            assert len(set(faces)) == k, v
+            hub = [rs.dart_vertex(d.opposite()) for d in rs.rotation[v]]
+            for t, f in enumerate(faces):
+                walk = top.faces[f].vertex_sequence
+                i = walk.index(v)
+                around = (walk[i - 1], walk[(i + 1) % len(walk)])
+                assert sorted(around) == sorted((hub[t], hub[(t + 1) % k])), \
+                    (v, t)
+    assert closed_maps > len(corpus)
+
+
+def test_check_polyhedral_traces_closed_2cell_once(monkeypatch):
+    calls = []
+    check = polymap.validity.check_closed_2cell
+
+    def counted(top):
+        calls.append(top)
+        return check(top)
+
+    monkeypatch.setattr(polymap.validity, "check_closed_2cell", counted)
+    for rs in (tetrahedron(), theta_map(), loop_map()):
+        calls.clear()
+        check_polyhedral(topology(rs))
+        assert len(calls) == 1
+
+
+def test_non_closed_map_reports_one_face_vertex_repeat():
+    bouquet = RotationSystem({"a": ["e", "f", "e", "f"]})
+    for rs in (bouquet, loop_map()):
+        report = check_polyhedral(topology(rs))
+        assert not report.closed_2cell and not report.wheel_neighborhood
+        tags = [w[0] for w in report.witnesses]
+        assert tags.count("face_vertex_repeat") == 1, report.witnesses
