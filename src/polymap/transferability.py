@@ -7,10 +7,10 @@ path once it is dropped).  The graph is *n-transferable* when it has at
 least one n-path and every n-path can reach every other by such moves;
 the transferability value is the largest such n.
 
-The decision procedure materialises the transfer digraph -- one node
-per directed n-path, one arc per move -- and checks that it is a single
-strongly connected component.  States are stored in canonical
-(lexicographic) order, so indices, arcs and verdicts are reproducible.
+The transfer digraph has a node per directed n-path and an arc per
+move.  No arc is stored: in lexicographic order the moves from p are
+the *block* of states with prefix p[1:], so the digraph is the line
+digraph of a smaller *block digraph* H, whose components give its own.
 State counts grow quickly with n; a configurable budget on path
 extensions -- every step of the one path search, prefixes included --
 aborts runs that would not fit in memory or time.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -117,9 +118,6 @@ class _Space:
     def decode(self, state):
         return PathState(tuple(self.names[i] for i in state))
 
-    def single(self, i):
-        return self.pack((i,))
-
     def check_path(self, path):
         for v in path.vertices:
             if v not in self.index:
@@ -186,7 +184,7 @@ def steps(graph, path):
     space = _Space(graph)
     space.check_path(path)
     p = space.encode(path.vertices)
-    return [space.decode(p[1:] + space.single(w))
+    return [space.decode(p[1:] + space.pack((w,)))
             for w in _successor_targets(space, p)]
 
 
@@ -207,28 +205,27 @@ class SccSummary:
 
 
 class TransferDigraph:
-    """All directed n-paths of a graph with one arc per legal move.
+    """All directed n-paths of a graph, at lexicographic indices.
 
-    States live at stable indices in lexicographic order of their
-    vertex sequences; ``state_at``/``index_of`` translate between
-    indices and :class:`PathState`.  Arcs are kept in compact
-    offset/target arrays; ``successors_of`` reads one row.
+    ``state_at``/``index_of`` translate between indices and PathState.
+    ``_first`` (block starts, then an empty sink block for suffixes that
+    start none) and ``_suffix`` (the block of each state's p[1:]) are
+    the offset/target arrays of H: a node per block, an arc per state.
     """
 
     def __init__(self, space, n, states):
         self._space = space
         self.n = n
         self._states = states
-        self._index = {p: i for i, p in enumerate(states)}
-        targets = array("l")
-        offsets = array("l", [0]) * (len(states) + 1)
+        blocks = {}  # first n vertices -> block id
+        first = self._first = array("l")
         for i, p in enumerate(states):
-            row = _successor_targets(space, p)
-            for w in row:
-                targets.append(self._index[p[1:] + space.single(w)])
-            offsets[i + 1] = len(targets)
-        self._offsets = offsets
-        self._targets = targets
+            if p[:-1] not in blocks:
+                blocks[p[:-1]] = len(first)
+                first.append(i)
+        first.extend((len(states), len(states)))
+        sink = len(blocks)
+        self._suffix = array("l", [blocks.get(p[1:], sink) for p in states])
 
     @property
     def state_count(self):
@@ -236,25 +233,36 @@ class TransferDigraph:
 
     @property
     def arc_count(self):
-        return len(self._targets)
+        return sum(map(len, map(self.successors_of, range(len(self._states)))))
 
     def state_at(self, i):
         return self._space.decode(self._states[i])
 
     def index_of(self, path):
-        try:
-            return self._index[self._space.encode(path.vertices)]
-        except KeyError:
-            raise ValueError("%r is not a %d-path of this graph"
-                             % (path, self.n)) from None
+        space, states = self._space, self._states
+        if all(v in space.index for v in path.vertices):
+            p = space.encode(path.vertices)
+            i = bisect_left(states, p)
+            if states[i:i + 1] == [p]:
+                return i
+        raise ValueError("%r is not a %d-path of this graph" % (path, self.n))
 
     def successors_of(self, i):
-        return tuple(self._targets[self._offsets[i]:self._offsets[i + 1]])
+        b = self._suffix[i]
+        return range(self._first[b], self._first[b + 1])
 
     def scc_summary(self):
-        sizes = _tarjan(len(self._states), self._offsets, self._targets)
-        return SccSummary(count=len(sizes),
-                          sizes=tuple(sorted(sizes, reverse=True)))
+        """Arcs of H inside one of its strong components form one strong
+        component; an arc across two forms one alone (Harary & Norman)."""
+        first, suffix = self._first, self._suffix
+        label = _tarjan(len(first) - 1, first, suffix)
+        heads = [label[b] for b in suffix]
+        inner = [0] * len(first)
+        for b in range(len(first) - 2):
+            inner[label[b]] += heads[first[b]:first[b + 1]].count(label[b])
+        sizes = sorted(filter(None, inner), reverse=True)
+        sizes += [1] * (len(suffix) - sum(inner))
+        return SccSummary(count=len(sizes), sizes=tuple(sizes))
 
     def to_dot(self):
         """The digraph in DOT format, states as comma-joined vertex ids."""
@@ -271,27 +279,25 @@ class TransferDigraph:
         yield "digraph transfer {\n"
         for label in labels:
             yield "  %s;\n" % label
-        offsets, targets = self._offsets, self._targets
         for i, label in enumerate(labels):
-            for k in range(offsets[i], offsets[i + 1]):
-                yield "  %s -> %s;\n" % (label, labels[targets[k]])
+            for j in self.successors_of(i):
+                yield "  %s -> %s;\n" % (label, labels[j])
         yield "}\n"
 
 
 def _tarjan(num, offsets, targets):
-    """Strong component sizes by Tarjan's algorithm, fully iterative.
+    """Each vertex's strong component, named by its root; iterative Tarjan.
 
     The call stack and the component stack are int arrays and
     ``ptr[v]`` is the next arc of v to follow, so a frame is one array
-    slot rather than a tuple of two int objects.
+    slot; a vertex stays on the component stack until it is labelled.
     """
     disc = array("l", [-1]) * num
     low = array("l", [0]) * num
+    label = array("l", [-1]) * num
     ptr = array("l", offsets)
-    on_stack = bytearray(num)
     stack = array("l")
     call = array("l")
-    sizes = []
     counter = 0
     for root in range(num):
         if disc[root] != -1:
@@ -299,7 +305,6 @@ def _tarjan(num, offsets, targets):
         disc[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = 1
         call.append(root)
         while call:
             v = call[-1]
@@ -311,32 +316,27 @@ def _tarjan(num, offsets, targets):
                     disc[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = 1
                     call.append(w)
-                elif on_stack[w] and disc[w] < low[v]:
+                elif label[w] == -1 and disc[w] < low[v]:
                     low[v] = disc[w]
             else:
                 call.pop()
                 if low[v] == disc[v]:
-                    size = 0
                     while True:
                         w = stack.pop()
-                        on_stack[w] = 0
-                        size += 1
+                        label[w] = v
                         if w == v:
                             break
-                    sizes.append(size)
                 if call and low[v] < low[call[-1]]:
                     low[call[-1]] = low[v]
-    return sizes
+    return label
 
 
 def build_transfer_digraph(graph, n, budget=DEFAULT_BUDGET):
     if n < 1:
         raise ValueError("path length must be at least 1")
     space = _Space(graph)
-    states = list(_iter_states(space, n, budget))
-    return TransferDigraph(space, n, states)
+    return TransferDigraph(space, n, list(_iter_states(space, n, budget)))
 
 
 @dataclass(frozen=True)

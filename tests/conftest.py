@@ -9,7 +9,8 @@ from polymap.errors import BudgetError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import Dart, RotationSystem, topology
-from polymap.transferability import DEFAULT_BUDGET, _Space
+from polymap.transferability import (DEFAULT_BUDGET, _iter_states, _Space,
+                                     _successor_targets)
 from polymap.validity import check_closed_2cell, check_polyhedral
 
 
@@ -70,6 +71,12 @@ def petersen_graph():
     return adj
 
 
+def path_graph(n):
+    vs = ["p%d" % i for i in range(n)]
+    return {vs[i]: tuple(vs[j] for j in (i - 1, i + 1) if 0 <= j < n)
+            for i in range(n)}
+
+
 def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
     """A connected simple graph: random spanning tree plus random edges."""
     vs = ["r%d" % i for i in range(num_vertices)]
@@ -96,7 +103,7 @@ def iter_states_by_copies(space, n, budget, start_order=None):
     count = 0
     starts = range(len(space.names)) if start_order is None else start_order
     for s in starts:
-        stack = [space.single(s)]
+        stack = [space.pack((s,))]
         while stack:
             p = stack.pop()
             if len(p) == n + 1:
@@ -110,7 +117,7 @@ def iter_states_by_copies(space, n, budget, start_order=None):
                 continue
             for w in reversed(space.adj[p[-1]]):
                 if w not in p:
-                    stack.append(p + space.single(w))
+                    stack.append(p + space.pack((w,)))
 
 
 def longest_path_bound(graph, budget=DEFAULT_BUDGET):
@@ -124,7 +131,7 @@ def longest_path_bound(graph, budget=DEFAULT_BUDGET):
     best = 0
     count = 0
     for s in range(len(space.names)):
-        stack = [space.single(s)]
+        stack = [space.pack((s,))]
         while stack:
             p = stack.pop()
             if len(p) - 1 > best:
@@ -136,8 +143,76 @@ def longest_path_bound(graph, budget=DEFAULT_BUDGET):
                         raise BudgetError(
                             "longest-path search exceeded %d extensions"
                             % budget, count)
-                    stack.append(p + space.single(w))
+                    stack.append(p + space.pack((w,)))
     return best
+
+
+def scc_sizes_by_arcs(graph, n, budget=DEFAULT_BUDGET):
+    """Strong components of the transfer digraph with every arc stored:
+    each state's legal moves, each target found by a dict lookup of the
+    moved path, then Tarjan over the state digraph.  Returns ``(count,
+    sizes)``, sizes descending.  The oracle for
+    ``TransferDigraph.scc_summary``."""
+    space = _Space(graph)
+    states = list(_iter_states(space, n, budget))
+    index = {p: i for i, p in enumerate(states)}
+    targets = []
+    offsets = [0]
+    for p in states:
+        for w in _successor_targets(space, p):
+            targets.append(index[p[1:] + space.pack((w,))])
+        offsets.append(len(targets))
+    sizes = sorted(_tarjan_sizes(len(states), offsets, targets), reverse=True)
+    return len(sizes), tuple(sizes)
+
+
+def _tarjan_sizes(num, offsets, targets):
+    """Strong component sizes by iterative Tarjan over offset/target
+    lists, with an on-stack flag per vertex."""
+    disc = [-1] * num
+    low = [0] * num
+    ptr = list(offsets)
+    on_stack = bytearray(num)
+    stack = []
+    call = []
+    sizes = []
+    counter = 0
+    for root in range(num):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        call.append(root)
+        while call:
+            v = call[-1]
+            arc = ptr[v]
+            if arc < offsets[v + 1]:
+                ptr[v] = arc + 1
+                w = targets[arc]
+                if disc[w] == -1:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    call.append(w)
+                elif on_stack[w] and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                call.pop()
+                if low[v] == disc[v]:
+                    size = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        size += 1
+                        if w == v:
+                            break
+                    sizes.append(size)
+                if call and low[v] < low[call[-1]]:
+                    low[call[-1]] = low[v]
+    return sizes
 
 
 def pairs_3_connected(graph):

@@ -6,7 +6,7 @@ import networkx
 import pytest
 
 from polymap.errors import BudgetError, StructureError
-from polymap.generators import hex_torus, tetrahedron, truncate
+from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, _bfs_distances,
@@ -17,8 +17,8 @@ from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      transferability)
 
 from conftest import (complete_graph, cycle_graph, iter_states_by_copies,
-                      longest_path_bound, petersen_graph,
-                      random_connected_graph, seeded_rng)
+                      longest_path_bound, path_graph, petersen_graph,
+                      random_connected_graph, scc_sizes_by_arcs, seeded_rng)
 
 
 def naive_is_transferable(graph, n):
@@ -124,6 +124,72 @@ def test_scc_summary_against_networkx():
             summary = build_transfer_digraph(graph, n).scc_summary()
             assert (summary.count, summary.sizes) == \
                 (len(sizes), tuple(sizes)), (name, n)
+
+
+def test_scc_summary_matches_the_stored_arc_oracle_on_the_cubic_maps():
+    """Components read off the block digraph equal those of the digraph
+    with every arc stored, on both 54-vertex cubic maps of value 12."""
+    counts = {}
+    for name, rs in (("torus", truncate(hex_torus(3, 3))),
+                     ("klein", truncate(hex_klein(3, 3)))):
+        graph = rs.adjacency()
+        for n in (10, 13):
+            summary = build_transfer_digraph(graph, n).scc_summary()
+            assert (summary.count, summary.sizes) == \
+                scc_sizes_by_arcs(graph, n), (name, n)
+            counts[name, n] = summary.count
+    assert (counts["torus", 13], counts["klein", 13]) == (865, 961)
+
+
+def _row_cases():
+    rng = seeded_rng(823)
+    for trial in range(30):
+        nv = rng.randint(2, 9)
+        yield "random-%d" % trial, random_connected_graph(rng, nv)
+        yield "tree-%d" % trial, random_connected_graph(rng, nv, 0)
+    for k in (2, 3, 6):
+        yield "path-%d" % k, path_graph(k)
+
+
+def test_successor_rows_are_contiguous_ranges_of_the_moves():
+    """Every state's moves are one ascending run of consecutive indices,
+    equal to ``steps``; trees and paths give stuck states, whose row is
+    empty.  C300 packs states as tuples."""
+    stuck = 0
+    cases = [(name, graph, range(1, len(graph)))
+             for name, graph in _row_cases()]
+    cases.append(("C300", cycle_graph(300), (1, 2, 150, 299)))
+    for name, graph, lengths in cases:
+        for n in lengths:
+            dg = build_transfer_digraph(graph, n)
+            rows = [list(dg.successors_of(i)) for i in range(dg.state_count)]
+            for i, row in enumerate(rows):
+                assert not row or row == list(range(row[0], row[-1] + 1)), \
+                    (name, n, i)
+                moves = steps(graph, dg.state_at(i))
+                assert [dg.state_at(j) for j in row] == moves, (name, n, i)
+            stuck += rows.count([])
+            assert dg.arc_count == sum(map(len, rows)), (name, n)
+    assert stuck > 0
+
+
+@pytest.mark.parametrize("k,packing", [(5, bytes), (300, tuple)])
+def test_index_of_rejects_what_is_not_a_state(k, packing):
+    """Without a state dict ``index_of`` still raises ValueError for a
+    vertex not in the graph, a sequence that is not a path and a path
+    of the wrong length, whether states pack as bytes or tuples."""
+    dg = build_transfer_digraph(cycle_graph(k), 2)
+    assert isinstance(dg._states[0], packing)
+    for i in range(dg.state_count):
+        assert dg.index_of(dg.state_at(i)) == i
+    top = ["c%d" % i for i in range(k - 1, k - 5, -1)]
+    wrong = [("c0", "c1", "nowhere"),  # not a vertex
+             ("c0", "c2", "c4"),  # not a path
+             ("c0", "c1"),  # too short
+             tuple(top)]  # too long, and after every state when k = 5
+    for vertices in wrong:
+        with pytest.raises(ValueError, match="is not a 2-path"):
+            dg.index_of(PathState(vertices))
 
 
 def test_dot_lines_join_to_to_dot():

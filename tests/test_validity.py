@@ -38,7 +38,6 @@ def doubled_edge_k4():
 
 
 def subdivided_tetrahedron():
-    rot = {v: [d.edge for d in tetrahedron().rotation[v]] for v in "0123"}
     base = tetrahedron()
     rot = {v: [d.edge for d in base.rotation[v]] for v in base.vertices}
     # split one edge with a degree-2 vertex
@@ -131,7 +130,6 @@ def test_3_connectivity_against_networkx():
 def test_wheel_on_corpus_perturbations_implies_polyhedral_parts(corpus):
     """check_polyhedral cross-checks wheel => 3-connected & closed 2-cell
     internally; it must never raise on structurally valid rotation systems."""
-    from conftest import perturb
     rng = seeded_rng(8)
     small = [rs for rs in corpus.values() if len(rs.vertices) <= 20]
     for _ in range(40):
