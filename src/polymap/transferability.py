@@ -10,10 +10,15 @@ the transferability value is the largest such n.
 The transfer digraph has a node per directed n-path and an arc per
 move.  No arc is stored: in lexicographic order the moves from p are
 the *block* of states with prefix p[1:], so the digraph is the line
-digraph of a smaller *block digraph* H, whose components give its own.
-State counts grow quickly with n; a configurable budget on path
-extensions -- every step of the one path search, prefixes included --
-aborts runs that would not fit in memory or time.
+digraph of a smaller *block digraph* H, a node per (n - 1)-path and an
+arc per n-path.  The n-paths are built from the (n - 1)-paths, one
+level per edge, so a sweep over n extends one chain of levels.  Since
+reversing every path turns the digraph into its converse, two forward
+searches on H decide strong connectivity; Tarjan on H runs only to
+count the components of an n that fails.  State counts grow quickly
+with n; a configurable budget on path extensions -- the states of every
+level up to n, which are the steps a path search makes, prefixes
+included -- aborts runs that would not fit in memory or time.
 
 Graphs are plain adjacency mappings (vertex -> iterable of neighbours),
 e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
@@ -109,14 +114,16 @@ class _Space:
                         "adjacency is not symmetric between %r and %r"
                         % (self.names[i], self.names[j]))
         self.adj = tuple(adj)
-        # states are packed as bytes when vertex indices fit in one byte
+        # states are packed as bytes when vertex indices fit in one byte,
+        # and level arrays hold vertices as 16-bit ints when they fit
         self.pack = bytes if len(self.names) <= 256 else tuple
+        self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
 
     def encode(self, ids):
         return self.pack(self.index[v] for v in ids)
 
     def decode(self, state):
-        return PathState(tuple(self.names[i] for i in state))
+        return PathState(tuple(map(self.names.__getitem__, state)))
 
     def check_path(self, path):
         for v in path.vertices:
@@ -131,12 +138,13 @@ class _Space:
 def _iter_states(space, n, budget, start_order=None):
     """All length-n states in lexicographic order (or by given starts).
 
-    The only path search: the current path is a list with an on-path
-    flag per vertex and one neighbour iterator per depth, and a state
-    is packed only at depth n.  Every extension, of a prefix or to a
-    full n-path, is charged against ``budget``.  A simple n-path needs
-    n + 1 distinct vertices, so for n >= V there is none and no search
-    is run.
+    The path search of ``find_stuck``, which needs its anchored start
+    order and its early exit: the current path is a list with an
+    on-path flag per vertex and one neighbour iterator per depth, and a
+    state is packed only at depth n.  Every extension, of a prefix or
+    to a full n-path, is charged against ``budget``.  A simple n-path
+    needs n + 1 distinct vertices, so for n >= V there is none and no
+    search is run.
     """
     if n >= len(space.names):
         return
@@ -190,10 +198,13 @@ def steps(graph, path):
 
 def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
     """Every directed simple path with ``n`` edges, lexicographic order."""
-    if n < 1:
-        raise ValueError("path length must be at least 1")
-    space = _Space(graph)
-    return tuple(space.decode(p) for p in _iter_states(space, n, budget))
+    digraph = build_transfer_digraph(graph, n, budget)
+    names = digraph._space.names
+    paths = [(v,) for v in names]
+    for level in digraph._levels():
+        paths = [(names[t],) + paths[s]
+                 for t, s in zip(level._tail, level._suffix)]
+    return tuple(map(PathState, paths))
 
 
 @dataclass(frozen=True)
@@ -208,42 +219,74 @@ class TransferDigraph:
     """All directed n-paths of a graph, at lexicographic indices.
 
     ``state_at``/``index_of`` translate between indices and PathState.
-    ``_first`` (block starts, then an empty sink block for suffixes that
-    start none) and ``_suffix`` (the block of each state's p[1:]) are
-    the offset/target arrays of H: a node per block, an arc per state.
+    The n-paths are one level of a chain: ``_prev`` holds the
+    (n - 1)-paths (None for n = 1, whose 0-paths are the vertices).
+    ``_tail`` and ``_head`` are each state's end vertices, ``_suffix``
+    is the index of each state's p[1:] among the (n - 1)-paths, and the
+    states whose first n vertices are the (n - 1)-path b form the block
+    ``range(_first[b], _first[b + 1])``.  So ``_first`` and ``_suffix``
+    are the offset/target arrays of H: a node per (n - 1)-path, an arc
+    per state.
     """
 
-    def __init__(self, space, n, states):
+    def __init__(self, space, n, prev, tail, head, first, suffix):
         self._space = space
         self.n = n
-        self._states = states
-        blocks = {}  # first n vertices -> block id
-        first = self._first = array("l")
-        for i, p in enumerate(states):
-            if p[:-1] not in blocks:
-                blocks[p[:-1]] = len(first)
-                first.append(i)
-        first.extend((len(states), len(states)))
-        sink = len(blocks)
-        self._suffix = array("l", [blocks.get(p[1:], sink) for p in states])
+        self._prev = prev
+        self._tail = tail
+        self._head = head
+        self._first = first
+        self._suffix = suffix
 
     @property
     def state_count(self):
-        return len(self._states)
+        return len(self._tail)
 
     @property
     def arc_count(self):
-        return sum(map(len, map(self.successors_of, range(len(self._states)))))
+        return sum(map(len, map(self.successors_of, range(len(self._tail)))))
+
+    def _levels(self):
+        """The levels of the chain, one edge first and this one last."""
+        levels = []
+        level = self
+        while level is not None:
+            levels.append(level)
+            level = level._prev
+        return levels[::-1]
+
+    def _path(self, i):
+        """Vertex indices of state i: its tail, then its suffix's path."""
+        path = []
+        level = self
+        while level is not None:
+            path.append(level._tail[i])
+            i = level._suffix[i]
+            level = level._prev
+        path.append(i)
+        return path
+
+    def _find(self, path):
+        """Index of the state with vertex indices ``path`` (n + 1 of
+        them), or -1: each level bisects the block of the prefix found so
+        far for the next vertex."""
+        i = path[0]
+        for level, v in zip(self._levels(), path[1:]):
+            lo, hi = level._first[i], level._first[i + 1]
+            i = bisect_left(level._head, v, lo, hi)
+            if i == hi or level._head[i] != v:
+                return -1
+        return i
 
     def state_at(self, i):
-        return self._space.decode(self._states[i])
+        return self._space.decode(self._path(i))
 
     def index_of(self, path):
-        space, states = self._space, self._states
-        if all(v in space.index for v in path.vertices):
-            p = space.encode(path.vertices)
-            i = bisect_left(states, p)
-            if states[i:i + 1] == [p]:
+        space = self._space
+        if len(path.vertices) == self.n + 1 and \
+                all(v in space.index for v in path.vertices):
+            i = self._find([space.index[v] for v in path.vertices])
+            if i >= 0:
                 return i
         raise ValueError("%r is not a %d-path of this graph" % (path, self.n))
 
@@ -257,12 +300,34 @@ class TransferDigraph:
         first, suffix = self._first, self._suffix
         label = _tarjan(len(first) - 1, first, suffix)
         heads = [label[b] for b in suffix]
-        inner = [0] * len(first)
-        for b in range(len(first) - 2):
+        inner = [0] * (len(first) - 1)
+        for b in range(len(first) - 1):
             inner[label[b]] += heads[first[b]:first[b + 1]].count(label[b])
         sizes = sorted(filter(None, inner), reverse=True)
         sizes += [1] * (len(suffix) - sum(inner))
         return SccSummary(count=len(sizes), sizes=tuple(sizes))
+
+    def _verdict(self):
+        """The n-verdict, by forward searches on H where they settle it.
+
+        The transfer digraph is strongly connected iff every node of H
+        with a nonempty block is reachable from x, the head node of
+        state 0, and can reach x.  Reversing every path maps H onto its
+        converse, so the nodes that reach x are those reachable from
+        rev(x).  Only an n that fails pays for Tarjan, to count its
+        components.
+        """
+        n, states = self.n, self.state_count
+        if not states:
+            return NPathVerdict(n, False, "no-n-path", 0, 0)
+        first, suffix = self._first.tolist(), self._suffix.tolist()
+        x, prev = suffix[0], self._prev
+        rev_x = x if prev is None else prev._find(prev._path(x)[::-1])
+        if _reaches_every_block(first, suffix, x) and \
+                _reaches_every_block(first, suffix, rev_x):
+            return NPathVerdict(n, True, "", states, 1)
+        return NPathVerdict(n, False, "not-strongly-connected", states,
+                            self.scc_summary().count)
 
     def to_dot(self):
         """The digraph in DOT format, states as comma-joined vertex ids."""
@@ -270,19 +335,40 @@ class TransferDigraph:
 
     def dot_lines(self):
         """The lines of ``to_dot()``, newline included, one at a time."""
-        names = self._space.names
-        labels = []
-        for p in self._states:
-            text = ",".join(str(names[i]) for i in p)
-            labels.append(
-                '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"'))
+        names = [str(v).replace("\\", "\\\\").replace('"', '\\"')
+                 for v in self._space.names]
+        labels = names
+        for level in self._levels():
+            labels = [names[t] + "," + labels[s]
+                      for t, s in zip(level._tail, level._suffix)]
         yield "digraph transfer {\n"
         for label in labels:
-            yield "  %s;\n" % label
+            yield '  "%s";\n' % label
         for i, label in enumerate(labels):
             for j in self.successors_of(i):
-                yield "  %s -> %s;\n" % (label, labels[j])
+                yield '  "%s" -> "%s";\n' % (label, labels[j])
         yield "}\n"
+
+
+def _reaches_every_block(first, suffix, x):
+    """Whether a breadth-first search on H from node x reaches every
+    nonempty block: it does iff the blocks it reaches hold every state.
+    Each round gathers the arcs of the last round's new nodes at once."""
+    seen = bytearray(len(first) - 1)
+    seen[x] = 1
+    frontier = [x]
+    covered = 0
+    while frontier:
+        arcs = []
+        for b in frontier:
+            arcs += suffix[first[b]:first[b + 1]]
+        covered += len(arcs)
+        frontier = []
+        for c in arcs:
+            if not seen[c]:
+                seen[c] = 1
+                frontier.append(c)
+    return covered == len(suffix)
 
 
 def _tarjan(num, offsets, targets):
@@ -335,8 +421,56 @@ def _tarjan(num, offsets, targets):
 def build_transfer_digraph(graph, n, budget=DEFAULT_BUDGET):
     if n < 1:
         raise ValueError("path length must be at least 1")
-    space = _Space(graph)
-    return TransferDigraph(space, n, list(_iter_states(space, n, budget)))
+    return _grow(_Space(graph), n, budget)
+
+
+def _grow(space, n, budget, digraph=None):
+    """The transfer digraph for n-paths, built level by level on
+    ``digraph`` (one for fewer edges; None starts from the vertices).
+
+    The (m + 1)-paths from an m-path j are its moves minus the one onto
+    its own tail, which would close a cycle; they keep lexicographic
+    order, block j and suffix k for a move to state k.  Each level is
+    charged its state count before it is built -- a depth-first search
+    makes that many extensions at depth m -- so the budget refuses a
+    level before any of it exists.  For n >= V there is no n-path and
+    nothing is built.
+    """
+    adj, code = space.adj, space.typecode
+    if n >= len(space.names):
+        return TransferDigraph(space, n, None, array(code), array(code),
+                               array("i", [0]), array("i"))
+    spent = sum(level.state_count for level in digraph._levels()) \
+        if digraph else 0
+    while digraph is None or digraph.n < n:
+        if digraph is None:
+            tails, counts = range(len(adj)), list(map(len, adj))
+        else:
+            tails = digraph._tail
+            first, head = digraph._first.tolist(), digraph._head.tolist()
+            # j has a move onto its tail iff the tail neighbours its head
+            counts = [first[b + 1] - first[b] - (t in adj[h]) for t, h, b
+                      in zip(tails, digraph._head, digraph._suffix)]
+        spent += sum(counts)
+        if spent > budget:
+            raise BudgetError(
+                "more than %d path extensions while enumerating directed "
+                "%d-paths; raise the budget to enumerate them" % (budget, n),
+                budget + 1)
+        if digraph is None:  # a 1-path's p[1:] is its head vertex
+            suffix = array("i", itertools.chain.from_iterable(adj))
+            head = array(code, suffix)
+        else:
+            suffix = array("i", [k for t, b in zip(tails, digraph._suffix)
+                                 for k in range(first[b], first[b + 1])
+                                 if head[k] != t])
+            head = array(code, [head[k] for k in suffix])
+        tail = array(code, itertools.chain.from_iterable(
+            map(itertools.repeat, tails, counts)))
+        digraph = TransferDigraph(
+            space, digraph.n + 1 if digraph else 1, digraph, tail, head,
+            array("i", itertools.accumulate(counts, initial=0)), suffix)
+    return digraph
 
 
 @dataclass(frozen=True)
@@ -350,13 +484,7 @@ class NPathVerdict:
 
 def n_verdict(graph, n, budget=DEFAULT_BUDGET):
     """Whether the graph is n-transferable, with the counts behind it."""
-    digraph = build_transfer_digraph(graph, n, budget)
-    if digraph.state_count == 0:
-        return NPathVerdict(n, False, "no-n-path", 0, 0)
-    count = digraph.scc_summary().count
-    ok = count == 1
-    return NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
-                        digraph.state_count, count)
+    return build_transfer_digraph(graph, n, budget)._verdict()
 
 
 def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
@@ -369,9 +497,10 @@ class TransferabilityResult:
     """Outcome of the sweep over path lengths.
 
     ``value`` is the largest n up to ``search_bound`` found
-    transferable (0 when none is); the sweep checks every n
-    individually and assumes no monotonicity.  ``truncated_at`` names
-    the first n the budget refused, or None.
+    transferable (0 when none is); the sweep builds each n's digraph
+    from the last one's but decides every n on its own, assuming no
+    monotonicity.  ``truncated_at`` names the first n the budget
+    refused, or None.
     """
 
     value: int
@@ -390,15 +519,18 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
     """
     if max_n is not None and max_n < 1:
         raise ValueError("path length must be at least 1")
+    space = _Space(graph)
+    digraph = None
     per_n = []
     value = 0
     truncated_at = None
     for n in itertools.count(1) if max_n is None else range(1, max_n + 1):
         try:
-            verdict = n_verdict(graph, n, budget)
+            digraph = _grow(space, n, budget, digraph)
         except BudgetError:
             truncated_at = n
             break
+        verdict = digraph._verdict()
         if max_n is None and verdict.reason == "no-n-path":
             break
         per_n.append(verdict)

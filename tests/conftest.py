@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +10,9 @@ from polymap.errors import BudgetError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import Dart, RotationSystem, topology
-from polymap.transferability import (DEFAULT_BUDGET, _iter_states, _Space,
-                                     _successor_targets)
+from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
+                                     SccSummary, _iter_states, _Space,
+                                     _successor_targets, _tarjan)
 from polymap.validity import check_closed_2cell, check_polyhedral
 
 
@@ -145,6 +147,45 @@ def longest_path_bound(graph, budget=DEFAULT_BUDGET):
                             % budget, count)
                     stack.append(p + space.pack((w,)))
     return best
+
+
+def block_digraph_by_dfs(graph, n, budget=DEFAULT_BUDGET):
+    """The transfer digraph from one path search: the sorted n-paths of
+    ``_iter_states``, a dict from each block's first n vertices to its
+    id, the block starts ``first`` (then an empty sink block for the
+    suffixes that start no block) and the block of each state's p[1:]
+    (``suffix``), with Tarjan on that block digraph.  The oracle for
+    ``TransferDigraph`` built level by level: its ``states`` (decoded),
+    successor ``rows``, ``arc_count``, ``scc`` and n-``verdict``."""
+    space = _Space(graph)
+    states = list(_iter_states(space, n, budget))
+    blocks = {}
+    first = []
+    for i, p in enumerate(states):
+        if p[:-1] not in blocks:
+            blocks[p[:-1]] = len(first)
+            first.append(i)
+    first.extend((len(states), len(states)))
+    sink = len(blocks)
+    suffix = [blocks.get(p[1:], sink) for p in states]
+    rows = [range(first[b], first[b + 1]) for b in suffix]
+    label = _tarjan(len(first) - 1, first, suffix)
+    heads = [label[b] for b in suffix]
+    inner = [0] * len(first)
+    for b in range(len(first) - 2):
+        inner[label[b]] += heads[first[b]:first[b + 1]].count(label[b])
+    sizes = sorted(filter(None, inner), reverse=True)
+    sizes += [1] * (len(suffix) - sum(inner))
+    scc = SccSummary(count=len(sizes), sizes=tuple(sizes))
+    if not states:
+        verdict = NPathVerdict(n, False, "no-n-path", 0, 0)
+    else:
+        ok = scc.count == 1
+        verdict = NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
+                               len(states), scc.count)
+    return SimpleNamespace(states=[space.decode(p) for p in states],
+                           rows=rows, arc_count=sum(map(len, rows)),
+                           scc=scc, verdict=verdict)
 
 
 def scc_sizes_by_arcs(graph, n, budget=DEFAULT_BUDGET):

@@ -1,6 +1,7 @@
 """Path states, transfer moves, the transfer digraph, and stuck paths."""
 
 import signal
+import sys
 
 import networkx
 import pytest
@@ -10,15 +11,16 @@ from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, _bfs_distances,
-                                     _iter_states, _Space,
+                                     _iter_states, _Space, _tarjan,
                                      build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
                                      transferability)
 
-from conftest import (complete_graph, cycle_graph, iter_states_by_copies,
-                      longest_path_bound, path_graph, petersen_graph,
-                      random_connected_graph, scc_sizes_by_arcs, seeded_rng)
+from conftest import (block_digraph_by_dfs, complete_graph, cycle_graph,
+                      iter_states_by_copies, longest_path_bound, path_graph,
+                      petersen_graph, random_connected_graph,
+                      scc_sizes_by_arcs, seeded_rng)
 
 
 def naive_is_transferable(graph, n):
@@ -173,13 +175,117 @@ def test_successor_rows_are_contiguous_ranges_of_the_moves():
     assert stuck > 0
 
 
+def _oracle_cases():
+    rng = seeded_rng(907)
+    for trial in range(30):
+        nv = rng.randint(2, 9)
+        yield "random-%d" % trial, random_connected_graph(rng, nv), range(1, nv)
+        yield "tree-%d" % trial, random_connected_graph(rng, nv, 0), \
+            range(1, nv)
+    yield "C300", cycle_graph(300), (1, 2, 150, 299)
+    yield "torus", truncate(hex_torus(3, 3)).adjacency(), range(1, 14)
+    yield "klein", truncate(hex_klein(3, 3)).adjacency(), range(1, 14)
+
+
+def test_levels_match_the_block_digraph_of_one_path_search():
+    """Each n's digraph, built from the last one's, decodes to the
+    states of one depth-first search in the same order, with the same
+    successor rows, arc count and components; trees give stuck states,
+    C300 has more than 256 vertices."""
+    stuck = 0
+    for name, graph, lengths in _oracle_cases():
+        for n in lengths:
+            dg = build_transfer_digraph(graph, n)
+            oracle = block_digraph_by_dfs(graph, n)
+            states = range(dg.state_count)
+            assert list(map(dg.state_at, states)) == oracle.states, (name, n)
+            assert list(map(dg.successors_of, states)) == oracle.rows, \
+                (name, n)
+            assert dg.arc_count == oracle.arc_count, (name, n)
+            assert dg.scc_summary() == oracle.scc, (name, n)
+            stuck += list(map(len, oracle.rows)).count(0)
+    assert stuck > 0
+
+
+def _relabelled(graph, prefix):
+    return {prefix + v: tuple(prefix + w for w in row)
+            for v, row in graph.items()}
+
+
+def _verdict_cases():
+    """300 seeded graphs on 2 to 10 vertices: connected, trees, and
+    unions of two connected parts with up to two isolated vertices."""
+    rng = seeded_rng(1013)
+    for trial in range(100):
+        yield random_connected_graph(rng, rng.randint(2, 8))
+        yield random_connected_graph(rng, rng.randint(2, 8), 0)
+        graph = _relabelled(random_connected_graph(
+            rng, rng.randint(1, 4), rng.random()), "a")
+        graph.update(_relabelled(random_connected_graph(
+            rng, rng.randint(1, 4), rng.random()), "b"))
+        for i in range(rng.randint(0, 2)):
+            graph["z%d" % i] = ()
+        yield graph
+
+
+def test_searched_verdict_matches_the_component_count():
+    """Two forward searches decide every n below V as Tarjan does, and
+    the sweep's rows equal those of one depth-first search per n."""
+    disconnected = 0
+    for trial, graph in enumerate(_verdict_cases()):
+        rows = [block_digraph_by_dfs(graph, n).verdict
+                for n in range(1, len(graph))]
+        for row in rows:
+            verdict = n_verdict(graph, row.n)
+            assert verdict == row, (trial, graph)
+            assert verdict.transferable == (build_transfer_digraph(
+                graph, row.n).scc_summary().count == 1), (trial, graph)
+        per_n = transferability(graph).per_n
+        assert list(per_n) == rows[:len(per_n)], (trial, graph)
+        disconnected += not rows or not rows[0].transferable
+    assert disconnected > 50
+
+
+def test_sweep_runs_tarjan_only_for_the_failing_n(monkeypatch):
+    """n = 1..12 are settled by forward searches; only n = 13 (160 920
+    states, 865 components) pays for Tarjan on its block digraph."""
+    calls = []
+
+    def counted(num, offsets, targets):
+        calls.append(len(targets))
+        return _tarjan(num, offsets, targets)
+
+    monkeypatch.setattr(sys.modules[transferability.__module__], "_tarjan",
+                        counted)
+    result = transferability(truncate(hex_torus(3, 3)).adjacency(), 13)
+    assert calls == [160920]
+    assert result.per_n[-1].scc_count == 865
+    assert result.value == 12
+
+
+def test_budget_charges_each_level_as_the_path_search_did():
+    """Levels 1..12 hold 213 894 states and levels 1..13 hold 374 814,
+    the extensions a depth-first search makes to reach depth 12 and 13;
+    a sweep truncates at the first n whose levels exceed the budget."""
+    th33 = truncate(hex_torus(3, 3)).adjacency()
+    got = [transferability(th33, 13, budget=b).truncated_at
+           for b in (213_893, 213_894, 374_813, 374_814)]
+    assert got == [12, 13, 13, None]
+    with pytest.raises(BudgetError) as info:
+        n_verdict(th33, 13, budget=374_813)
+    assert info.value.count == 374_814
+    assert "more than 374813 path extensions" in str(info.value)
+
+
 @pytest.mark.parametrize("k,packing", [(5, bytes), (300, tuple)])
 def test_index_of_rejects_what_is_not_a_state(k, packing):
     """Without a state dict ``index_of`` still raises ValueError for a
     vertex not in the graph, a sequence that is not a path and a path
     of the wrong length, whether states pack as bytes or tuples."""
-    dg = build_transfer_digraph(cycle_graph(k), 2)
-    assert isinstance(dg._states[0], packing)
+    graph = cycle_graph(k)
+    dg = build_transfer_digraph(graph, 2)
+    assert isinstance(next(_iter_states(_Space(graph), 2, DEFAULT_BUDGET)),
+                      packing)
     for i in range(dg.state_count):
         assert dg.index_of(dg.state_at(i)) == i
     top = ["c%d" % i for i in range(k - 1, k - 5, -1)]
@@ -190,6 +296,16 @@ def test_index_of_rejects_what_is_not_a_state(k, packing):
     for vertices in wrong:
         with pytest.raises(ValueError, match="is not a 2-path"):
             dg.index_of(PathState(vertices))
+
+
+def test_levels_hold_vertices_past_16_bits():
+    """Level arrays switch from 16-bit vertex ids when V exceeds 65 536."""
+    dg = build_transfer_digraph(path_graph(70000), 2)
+    assert dg.state_count == 2 * 69998
+    for i in (0, 12345, dg.state_count - 1):
+        assert dg.index_of(dg.state_at(i)) == i
+    assert dg.state_at(dg.state_count - 1).vertices == \
+        ("p9999", "p9998", "p9997")
 
 
 def test_dot_lines_join_to_to_dot():
