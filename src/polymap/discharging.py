@@ -202,9 +202,9 @@ def _a3_amount(table, major_degree, minor_degree):
 
 
 def apply_rule_a3(state, top, ledger):
-    """Across each weak or semi-weak edge with a minor face (deg <= 5) on
-    one side and a major face (deg >= 7) on the other, the major face
-    pays the tabulated amount."""
+    """Across each weak or semi-weak edge with a minor face (degree 3, 4
+    or 5, the degrees the tables price) on one side and a major face
+    (deg >= 7) on the other, the major face pays the tabulated amount."""
     state = state._advance("A3")
     for e in top.rs.edges:
         f1, f2 = top.edge_faces[e]
@@ -216,9 +216,9 @@ def apply_rule_a3(state, top, ledger):
         if kind == "normal":
             continue
         d1, d2 = top.face_degrees[f1], top.face_degrees[f2]
-        if d1 <= 5 and d2 >= 7:
+        if 3 <= d1 <= 5 and d2 >= 7:
             minor, major = f1, f2
-        elif d2 <= 5 and d1 >= 7:
+        elif 3 <= d2 <= 5 and d1 >= 7:
             minor, major = f2, f1
         else:
             continue

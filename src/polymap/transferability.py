@@ -114,13 +114,8 @@ class _Space:
                         "adjacency is not symmetric between %r and %r"
                         % (self.names[i], self.names[j]))
         self.adj = tuple(adj)
-        # states are packed as bytes when vertex indices fit in one byte,
-        # and level arrays hold vertices as 16-bit ints when they fit
-        self.pack = bytes if len(self.names) <= 256 else tuple
+        # level arrays hold vertex indices as 16-bit ints when they fit
         self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
-
-    def encode(self, ids):
-        return self.pack(self.index[v] for v in ids)
 
     def decode(self, state):
         return PathState(tuple(map(self.names.__getitem__, state)))
@@ -135,54 +130,12 @@ class _Space:
                     "path vertices %r and %r are not adjacent" % (u, w))
 
 
-def _iter_states(space, n, budget, start_order=None):
-    """All length-n states in lexicographic order (or by given starts).
-
-    The path search of ``find_stuck``, which needs its anchored start
-    order and its early exit: the current path is a list with an
-    on-path flag per vertex and one neighbour iterator per depth, and a
-    state is packed only at depth n.  Every extension, of a prefix or
-    to a full n-path, is charged against ``budget``.  A simple n-path
-    needs n + 1 distinct vertices, so for n >= V there is none and no
-    search is run.
-    """
-    if n >= len(space.names):
-        return
-    adj, pack = space.adj, space.pack
-    on_path = bytearray(len(space.names))
-    count = 0
-    starts = range(len(space.names)) if start_order is None else start_order
-    for s in starts:
-        path = [s]
-        on_path[s] = 1
-        nexts = [iter(adj[s])]
-        while nexts:
-            for w in nexts[-1]:
-                if on_path[w]:
-                    continue
-                count += 1
-                if count > budget:
-                    raise BudgetError(
-                        "more than %d path extensions while enumerating "
-                        "directed %d-paths; raise the budget to enumerate "
-                        "them" % (budget, n), count)
-                path.append(w)
-                if len(path) > n:
-                    yield pack(path)
-                    path.pop()
-                    continue
-                on_path[w] = 1
-                nexts.append(iter(adj[w]))
-                break
-            else:
-                nexts.pop()
-                on_path[path.pop()] = 0
-
-
-def _successor_targets(space, p):
-    """Integer targets of all legal moves from encoded state p, ascending."""
-    inner = p[1:-1]
-    return [w for w in space.adj[p[-1]] if w not in inner]
+def _budget_error(budget, n):
+    """The error for a path search or level build past ``budget``
+    extensions, counting the one that broke it."""
+    return BudgetError(
+        "more than %d path extensions while enumerating directed %d-paths; "
+        "raise the budget to enumerate them" % (budget, n), budget + 1)
 
 
 def steps(graph, path):
@@ -191,9 +144,10 @@ def steps(graph, path):
         raise StructureError("moves need a path with at least one edge")
     space = _Space(graph)
     space.check_path(path)
-    p = space.encode(path.vertices)
-    return [space.decode(p[1:] + space.pack((w,)))
-            for w in _successor_targets(space, p)]
+    names, inner = space.names, path.vertices[1:-1]
+    return [PathState(path.vertices[1:] + (names[w],))
+            for w in space.adj[space.index[path.head]]
+            if names[w] not in inner]
 
 
 def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
@@ -453,10 +407,7 @@ def _grow(space, n, budget, digraph=None):
                       in zip(tails, digraph._head, digraph._suffix)]
         spent += sum(counts)
         if spent > budget:
-            raise BudgetError(
-                "more than %d path extensions while enumerating directed "
-                "%d-paths; raise the budget to enumerate them" % (budget, n),
-                budget + 1)
+            raise _budget_error(budget, n)
         if digraph is None:  # a 1-path's p[1:] is its head vertex
             suffix = array("i", itertools.chain.from_iterable(adj))
             head = array(code, suffix)
@@ -552,21 +503,53 @@ class StuckWitness:
 def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     """First stuck n-path in search order, or None.
 
-    With ``anchor`` given, enumeration starts from the vertices nearest
-    the anchor, so a path clogged around it is found early.
+    One depth-first search from each start in vertex order or, with
+    ``anchor`` given, nearest the anchor first, so a path clogged around
+    it is found early.  The path is a list with an on-path flag per
+    vertex and one neighbour iterator per depth; every extension, of a
+    prefix or to a full n-path, is charged against ``budget``.  The
+    n-path ``path + [w]`` is stuck iff every neighbour of w is on the
+    path and is not its tail.  A simple n-path needs n + 1 distinct
+    vertices, so for n >= V there is none and no search is run.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
     space = _Space(graph)
-    order = None
+    adj, starts = space.adj, range(len(space.names))
     if anchor is not None:
         if anchor not in space.index:
             raise StructureError("anchor %r is not a vertex" % (anchor,))
         dist = _bfs_distances(space, space.index[anchor])
-        order = sorted(range(len(space.names)), key=lambda i: (dist[i], i))
-    for p in _iter_states(space, n, budget, start_order=order):
-        if not _successor_targets(space, p):
-            return StuckWitness(path=space.decode(p), anchor=anchor)
+        starts = sorted(starts, key=lambda i: (dist[i], i))
+    if n >= len(space.names):
+        return None
+    on_path = bytearray(len(space.names))
+    count = 0
+    for s in starts:
+        path = [s]
+        on_path[s] = 1
+        nexts = [iter(adj[s])]
+        while nexts:
+            for w in nexts[-1]:
+                if on_path[w]:
+                    continue
+                count += 1
+                if count > budget:
+                    raise _budget_error(budget, n)
+                if len(path) < n:
+                    path.append(w)
+                    on_path[w] = 1
+                    nexts.append(iter(adj[w]))
+                    break
+                for x in adj[w]:
+                    if not on_path[x] or x == s:
+                        break
+                else:
+                    return StuckWitness(path=space.decode(path + [w]),
+                                        anchor=anchor)
+            else:
+                nexts.pop()
+                on_path[path.pop()] = 0
     return None
 
 

@@ -11,8 +11,7 @@ from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import Dart, RotationSystem, topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
-                                     SccSummary, _iter_states, _Space,
-                                     _successor_targets, _tarjan)
+                                     SccSummary, _Space, _tarjan)
 from polymap.validity import check_closed_2cell, check_polyhedral
 
 
@@ -97,15 +96,16 @@ def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
 
 def iter_states_by_copies(space, n, budget, start_order=None):
     """All length-n states in lexicographic order (or by given starts),
-    each stack entry a fresh copy of its path, and only emitted n-paths
-    charged against the budget.  The oracle for the state order of
-    ``transferability._iter_states``."""
+    as tuples of vertex indices, each stack entry a fresh copy of its
+    path, and only emitted n-paths charged against the budget.  The
+    oracle for the state order of the transfer digraph and of
+    ``find_stuck``."""
     if n >= len(space.names):
         return
     count = 0
     starts = range(len(space.names)) if start_order is None else start_order
     for s in starts:
-        stack = [space.pack((s,))]
+        stack = [(s,)]
         while stack:
             p = stack.pop()
             if len(p) == n + 1:
@@ -119,7 +119,13 @@ def iter_states_by_copies(space, n, budget, start_order=None):
                 continue
             for w in reversed(space.adj[p[-1]]):
                 if w not in p:
-                    stack.append(p + space.pack((w,)))
+                    stack.append(p + (w,))
+
+
+def moves_by_scan(space, p):
+    """Heads of the legal moves from state tuple p, ascending: each
+    neighbour of the head that is not an inner vertex of p."""
+    return [w for w in space.adj[p[-1]] if w not in p[1:-1]]
 
 
 def longest_path_bound(graph, budget=DEFAULT_BUDGET):
@@ -133,7 +139,7 @@ def longest_path_bound(graph, budget=DEFAULT_BUDGET):
     best = 0
     count = 0
     for s in range(len(space.names)):
-        stack = [space.pack((s,))]
+        stack = [(s,)]
         while stack:
             p = stack.pop()
             if len(p) - 1 > best:
@@ -145,20 +151,20 @@ def longest_path_bound(graph, budget=DEFAULT_BUDGET):
                         raise BudgetError(
                             "longest-path search exceeded %d extensions"
                             % budget, count)
-                    stack.append(p + space.pack((w,)))
+                    stack.append(p + (w,))
     return best
 
 
 def block_digraph_by_dfs(graph, n, budget=DEFAULT_BUDGET):
     """The transfer digraph from one path search: the sorted n-paths of
-    ``_iter_states``, a dict from each block's first n vertices to its
-    id, the block starts ``first`` (then an empty sink block for the
-    suffixes that start no block) and the block of each state's p[1:]
-    (``suffix``), with Tarjan on that block digraph.  The oracle for
+    ``iter_states_by_copies``, a dict from each block's first n vertices
+    to its id, the block starts ``first`` (then an empty sink block for
+    the suffixes that start no block) and the block of each state's
+    p[1:] (``suffix``), with Tarjan on that block digraph.  The oracle for
     ``TransferDigraph`` built level by level: its ``states`` (decoded),
     successor ``rows``, ``arc_count``, ``scc`` and n-``verdict``."""
     space = _Space(graph)
-    states = list(_iter_states(space, n, budget))
+    states = list(iter_states_by_copies(space, n, budget))
     blocks = {}
     first = []
     for i, p in enumerate(states):
@@ -195,13 +201,13 @@ def scc_sizes_by_arcs(graph, n, budget=DEFAULT_BUDGET):
     sizes)``, sizes descending.  The oracle for
     ``TransferDigraph.scc_summary``."""
     space = _Space(graph)
-    states = list(_iter_states(space, n, budget))
+    states = list(iter_states_by_copies(space, n, budget))
     index = {p: i for i, p in enumerate(states)}
     targets = []
     offsets = [0]
     for p in states:
-        for w in _successor_targets(space, p):
-            targets.append(index[p[1:] + space.pack((w,))])
+        for w in moves_by_scan(space, p):
+            targets.append(index[p[1:] + (w,)])
         offsets.append(len(targets))
     sizes = sorted(_tarjan_sizes(len(states), offsets, targets), reverse=True)
     return len(sizes), tuple(sizes)

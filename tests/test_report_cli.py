@@ -145,6 +145,25 @@ def test_malformed_input_exits_2(capsys, monkeypatch):
     assert "line 1" in err and "whitespace" in err
 
 
+def test_discharge_skips_a3_for_a_face_below_degree_3(capsys, monkeypatch):
+    """A 2-face across weak edges from two 7-faces is not a minor face
+    that A3's tables price, so it moves no A3 charge (it used to crash
+    with a KeyError)."""
+    digon = ("v 0: c6+ c0+ d+\nv 1: c0+ c1+ d+\nv 2: c1+ c2+\n"
+             "v 3: c2+ c3+\nv 4: c3+ c4+\nv 5: c4+ c5+\nv 6: c5+ c6+\n")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["discharge", "-", "--format", "json"],
+                             stdin=digon)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["topology"]["face_degrees"] == [2, 7, 7]
+    assert doc["discharge"]["total"] == "-12/1"
+    assert "A3" not in {t["rule"] for t in doc["discharge"]["transfers"]}
+    code, out, _ = run_cli(capsys, monkeypatch, ["discharge", "-"],
+                           stdin=digon)
+    assert code == 0 and "  total: -12/1\n" in out
+
+
 def test_discharge_json(capsys, monkeypatch, tmp_path):
     path = tmp_path / "t.map"
     path.write_text(serialize_map(truncate(hex_torus(3, 3))),

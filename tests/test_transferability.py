@@ -10,17 +10,17 @@ from polymap.errors import BudgetError, StructureError
 from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
-                                     PathState, _bfs_distances,
-                                     _iter_states, _Space, _tarjan,
+                                     PathState, StuckWitness,
+                                     _bfs_distances, _Space, _tarjan,
                                      build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
                                      transferability)
 
 from conftest import (block_digraph_by_dfs, complete_graph, cycle_graph,
-                      iter_states_by_copies, longest_path_bound, path_graph,
-                      petersen_graph, random_connected_graph,
-                      scc_sizes_by_arcs, seeded_rng)
+                      iter_states_by_copies, longest_path_bound,
+                      moves_by_scan, path_graph, petersen_graph,
+                      random_connected_graph, scc_sizes_by_arcs, seeded_rng)
 
 
 def naive_is_transferable(graph, n):
@@ -277,15 +277,13 @@ def test_budget_charges_each_level_as_the_path_search_did():
     assert "more than 374813 path extensions" in str(info.value)
 
 
-@pytest.mark.parametrize("k,packing", [(5, bytes), (300, tuple)])
-def test_index_of_rejects_what_is_not_a_state(k, packing):
+@pytest.mark.parametrize("k", [5, 300])
+def test_index_of_rejects_what_is_not_a_state(k):
     """Without a state dict ``index_of`` still raises ValueError for a
     vertex not in the graph, a sequence that is not a path and a path
-    of the wrong length, whether states pack as bytes or tuples."""
+    of the wrong length, on fewer and more than 256 vertices."""
     graph = cycle_graph(k)
     dg = build_transfer_digraph(graph, 2)
-    assert isinstance(next(_iter_states(_Space(graph), 2, DEFAULT_BUDGET)),
-                      packing)
     for i in range(dg.state_count):
         assert dg.index_of(dg.state_at(i)) == i
     top = ["c%d" % i for i in range(k - 1, k - 5, -1)]
@@ -365,6 +363,10 @@ def test_stuck_paths():
     assert witness is None  # every 2-path on a cycle can still slide
     with pytest.raises(StructureError):
         find_stuck(complete_graph(4), 3, anchor="nope")
+    with pytest.raises(StructureError):  # checked before n >= V returns
+        find_stuck(complete_graph(4), 4, anchor="nope")
+    with pytest.raises(ValueError):
+        find_stuck(complete_graph(4), 0)
 
 
 def test_longest_path_bound():
@@ -386,26 +388,58 @@ def _random_cases():
             rng, 1 + trial % 10), rng
 
 
-def test_states_match_the_copying_search():
-    """The path search yields the states of the copying oracle in the
-    same order, lexicographic or anchored, bytes- or tuple-packed."""
-    for name, graph, rng in _random_cases():
+def _first_stuck_by_copies(space, n, order):
+    for p in iter_states_by_copies(space, n, DEFAULT_BUDGET, order):
+        if not moves_by_scan(space, p):
+            return space.decode(p)
+    return None
+
+
+def test_stuck_search_matches_the_copying_oracle():
+    """``find_stuck`` returns the first state of the copying oracle with
+    no legal move, in lexicographic and in anchored start order; the
+    oracle finds stuck states in some cases and none in others."""
+    cases = [(name, graph, range(1, len(graph) + 1),
+              rng.choice(sorted(graph)))
+             for name, graph, rng in _random_cases()]
+    cases.append(("C300", cycle_graph(300), (1, 2, 150, 299), "c150"))
+    found = []
+    for name, graph, lengths, anchor in cases:
         space = _Space(graph)
-        anchor = rng.randrange(len(space.names))
-        dist = _bfs_distances(space, anchor)
+        dist = _bfs_distances(space, space.index[anchor])
         anchored = sorted(range(len(space.names)), key=lambda i: (dist[i], i))
-        for n in range(1, len(space.names) + 1):
-            for order in (None, anchored):
-                assert list(_iter_states(space, n, DEFAULT_BUDGET, order)) == \
-                    list(iter_states_by_copies(space, n, DEFAULT_BUDGET,
-                                               order)), (name, n, order)
-    space = _Space(cycle_graph(300))
-    assert space.pack is tuple
-    anchored = list(range(150, 300)) + list(range(150))
-    for n in (1, 2, 150, 299):
-        for order in (None, anchored):
-            assert list(_iter_states(space, n, DEFAULT_BUDGET, order)) == \
-                list(iter_states_by_copies(space, n, DEFAULT_BUDGET, order))
+        for n in lengths:
+            for order, key in ((None, None), (anchored, anchor)):
+                path = _first_stuck_by_copies(space, n, order)
+                expected = None if path is None else \
+                    StuckWitness(path=path, anchor=key)
+                assert find_stuck(graph, n, anchor=key) == expected, \
+                    (name, n, key)
+                found.append(path is not None)
+    assert any(found) and not all(found)
+
+
+def test_stuck_search_charges_every_extension():
+    """With no stuck 12-path the search makes 213 894 extensions on the
+    truncated hexagonal torus, one per state of levels 1..12; anchored at
+    its smallest vertex, the stuck 13-path is the 64th extension."""
+    th33 = truncate(hex_torus(3, 3)).adjacency()
+    with pytest.raises(BudgetError) as info:
+        find_stuck(th33, 12, budget=213_893)
+    assert info.value.count == 213_894
+    assert str(info.value) == (
+        "more than 213893 path extensions while enumerating directed "
+        "12-paths; raise the budget to enumerate them")
+    assert find_stuck(th33, 12, budget=213_894) is None
+    anchor = min(th33)
+    with pytest.raises(BudgetError) as info:
+        find_stuck(th33, 13, anchor=anchor, budget=63)
+    assert info.value.count == 64
+    witness = find_stuck(th33, 13, anchor=anchor, budget=64)
+    assert witness == find_stuck(th33, 13, anchor=anchor)
+    assert witness.path.vertices[0] == anchor
+    assert len(witness.path.vertices) == 14
+    assert steps(th33, witness.path) == []
 
 
 def test_search_bound_is_the_longest_path():
