@@ -11,8 +11,8 @@ from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
-                                     _bfs_distances, _Space, _tarjan,
-                                     build_transfer_digraph,
+                                     _bfs_distances, _sources, _Space,
+                                     _tarjan, build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
                                      transferability)
@@ -228,27 +228,9 @@ def _verdict_cases():
         yield graph
 
 
-def test_searched_verdict_matches_the_component_count():
-    """Two forward searches decide every n below V as Tarjan does, and
-    the sweep's rows equal those of one depth-first search per n."""
-    disconnected = 0
-    for trial, graph in enumerate(_verdict_cases()):
-        rows = [block_digraph_by_dfs(graph, n).verdict
-                for n in range(1, len(graph))]
-        for row in rows:
-            verdict = n_verdict(graph, row.n)
-            assert verdict == row, (trial, graph)
-            assert verdict.transferable == (build_transfer_digraph(
-                graph, row.n).scc_summary().count == 1), (trial, graph)
-        per_n = transferability(graph).per_n
-        assert list(per_n) == rows[:len(per_n)], (trial, graph)
-        disconnected += not rows or not rows[0].transferable
-    assert disconnected > 50
-
-
-def test_sweep_runs_tarjan_only_for_the_failing_n(monkeypatch):
-    """n = 1..12 are settled by forward searches; only n = 13 (160 920
-    states, 865 components) pays for Tarjan on its block digraph."""
+@pytest.fixture
+def tarjan_calls(monkeypatch):
+    """The arc count of each ``_tarjan`` call the test makes."""
     calls = []
 
     def counted(num, offsets, targets):
@@ -257,10 +239,107 @@ def test_sweep_runs_tarjan_only_for_the_failing_n(monkeypatch):
 
     monkeypatch.setattr(sys.modules[transferability.__module__], "_tarjan",
                         counted)
-    result = transferability(truncate(hex_torus(3, 3)).adjacency(), 13)
-    assert calls == [160920]
-    assert result.per_n[-1].scc_count == 865
-    assert result.value == 12
+    return calls
+
+
+def test_searched_verdict_matches_the_component_count(tarjan_calls):
+    """Trimming H and two forward searches on its core decide every n
+    below V and count its components as Tarjan does, falling back to
+    Tarjan on some graphs only; the sweep's rows equal those of one
+    depth-first search per n."""
+    disconnected = fallback = 0
+    for trial, graph in enumerate(_verdict_cases()):
+        rows = [block_digraph_by_dfs(graph, n).verdict
+                for n in range(1, len(graph))]
+        fell_back = False
+        for row in rows:
+            calls = len(tarjan_calls)
+            verdict = n_verdict(graph, row.n)
+            fell_back |= len(tarjan_calls) > calls
+            assert verdict == row, (trial, graph)
+            assert verdict.transferable == (build_transfer_digraph(
+                graph, row.n).scc_summary().count == 1), (trial, graph)
+        fallback += fell_back
+        per_n = transferability(graph).per_n
+        assert list(per_n) == rows[:len(per_n)], (trial, graph)
+        disconnected += not rows or not rows[0].transferable
+    assert disconnected > 50
+    assert 0 < fallback < 300
+
+
+def test_cubic_maps_count_their_components_without_tarjan(tarjan_calls):
+    """At n = 13 on both 54-vertex cubic maps the trimmed block digraph
+    is one component, so the sweep and the single verdict count the 865
+    and 961 components of the failing n with no Tarjan run."""
+    for rs, sccs in ((truncate(hex_torus(3, 3)), 865),
+                     (truncate(hex_klein(3, 3)), 961)):
+        graph = rs.adjacency()
+        result = transferability(graph, 13)
+        verdict = n_verdict(graph, 13)
+        assert result.per_n[-1] == verdict
+        assert verdict.scc_count == sccs
+        assert result.value == 12
+    assert tarjan_calls == []
+
+
+def test_two_cycles_fall_back_to_tarjan(tarjan_calls):
+    """On C4 + C5 nothing is trimmed and the core splits into
+    nontrivial components (two, then one per direction round each
+    cycle), so Tarjan counts them."""
+    graph = _relabelled(cycle_graph(4), "a")
+    graph.update(_relabelled(cycle_graph(5), "b"))
+    for n, sccs in ((1, 2), (2, 4), (3, 4)):
+        calls = len(tarjan_calls)
+        verdict = n_verdict(graph, n)
+        assert len(tarjan_calls) > calls, n
+        assert verdict.scc_count == sccs == build_transfer_digraph(
+            graph, n).scc_summary().count, n
+
+
+def test_sink_cascade_is_the_reverse_of_the_source_cascade():
+    """The out-degree-0 cascade of H, trimmed by its own reverse arcs,
+    is the image of the in-degree-0 cascade under path reversal."""
+    trimmed = 0
+    for trial, graph in enumerate(_verdict_cases()):
+        for n in range(1, len(graph)):
+            dg = build_transfer_digraph(graph, n)
+            first, suffix = dg._first.tolist(), dg._suffix.tolist()
+            nodes = range(len(first) - 1)
+            into = [[] for b in nodes]
+            for b in nodes:
+                for c in suffix[first[b]:first[b + 1]]:
+                    into[c].append(b)
+            out = [first[b + 1] - first[b] for b in nodes]
+            sinks = [b for b in nodes if not out[b]]
+            for c in sinks:
+                for b in into[c]:
+                    out[b] -= 1
+                    if not out[b]:
+                        sinks.append(b)
+            prev = dg._prev
+            reversed_sources = [
+                b if prev is None else
+                prev.index_of(prev.state_at(b).reverse())
+                for b in _sources(first, suffix)]
+            assert sorted(sinks) == sorted(reversed_sources), (trial, n)
+            trimmed += len(sinks)
+    assert trimmed > 0
+
+
+def test_trees_leave_an_empty_core(tarjan_calls):
+    """On a tree an n-path turns round only at n = 1, back along its
+    edge; from n = 2 its head walks on without backtracking and never
+    returns, so H has no cycle, trimming leaves no core and each state
+    is a component alone."""
+    star = {"hub": ("l0", "l1", "l2", "l3", "l4")}
+    star.update(("l%d" % i, ("hub",)) for i in range(5))
+    for graph in (path_graph(7), star):
+        assert n_verdict(graph, 1).scc_count == 1
+        for n in range(2, len(graph)):
+            verdict = n_verdict(graph, n)
+            assert verdict.scc_count == verdict.state_count, n
+    assert n_verdict(star, 2).state_count == 20
+    assert tarjan_calls == []
 
 
 def test_budget_charges_each_level_as_the_path_search_did():
