@@ -17,6 +17,10 @@ reversing every path turns the digraph into its converse, the sinks
 that trimming H sheds are the reverses of its sources, and two forward
 searches on what is left decide strong connectivity and count the
 components; Tarjan on H runs only when that core is not one component.
+H is the transfer digraph of the (n - 1)-paths less their moves onto
+their own tails, so where the graph has no n-cycle the two are equal,
+and a sweep that found n - 1 transferable carries that verdict to n
+with no search (H strongly connected makes its line digraph so).
 State counts grow quickly with n; a configurable budget on path
 extensions -- the states of every level up to n, which are the steps a
 path search makes, prefixes included -- aborts runs that would not fit
@@ -182,10 +186,13 @@ class TransferDigraph:
     states whose first n vertices are the (n - 1)-path b form the block
     ``range(_first[b], _first[b + 1])``.  So ``_first`` and ``_suffix``
     are the offset/target arrays of H: a node per (n - 1)-path, an arc
-    per state.
+    per state.  H is the transfer digraph of the (n - 1)-paths less
+    their moves onto their own tails, which close an n-cycle;
+    ``_dropped`` counts those moves (None for the empty digraph of
+    n >= V, which is built from no level).
     """
 
-    def __init__(self, space, n, prev, tail, head, first, suffix):
+    def __init__(self, space, n, prev, tail, head, first, suffix, dropped):
         self._space = space
         self.n = n
         self._prev = prev
@@ -193,6 +200,7 @@ class TransferDigraph:
         self._head = head
         self._first = first
         self._suffix = suffix
+        self._dropped = dropped
 
     @property
     def state_count(self):
@@ -278,6 +286,14 @@ class TransferDigraph:
         transferable iff no arc has a trimmed end; an empty core leaves
         one component per state.  Only a core that is not one component
         falls back to Tarjan.
+
+        The first search proves half of that by reversal: if x reaches
+        every core node rev(y), reversing the path shows that y reaches
+        rev(x), so every core node reaches rev(x).  The search from
+        rev(x) supplies the other half, that rev(x) reaches every node,
+        and then any u reaches any v through rev(x).  Whether x reaching
+        the core ever leaves rev(x) short of it is open; until a proof
+        that it cannot, both searches run.
         """
         n, states = self.n, self.state_count
         if not states:
@@ -428,27 +444,32 @@ def _grow(space, n, budget, digraph=None):
 
     The (m + 1)-paths from an m-path j are its moves minus the one onto
     its own tail, which would close a cycle; they keep lexicographic
-    order, block j and suffix k for a move to state k.  Each level is
-    charged its state count before it is built -- a depth-first search
-    makes that many extensions at depth m -- so the budget refuses a
-    level before any of it exists.  For n >= V there is no n-path and
-    nothing is built.
+    order, block j and suffix k for a move to state k, and the level
+    counts the moves it drops in ``_dropped``.  Each level is charged
+    its state count before it is built -- a depth-first search makes
+    that many extensions at depth m -- so the budget refuses a level
+    before any of it exists.  For n >= V there is no n-path and nothing
+    is built.
     """
     adj, code = space.adj, space.typecode
     if n >= len(space.names):
         return TransferDigraph(space, n, None, array(code), array(code),
-                               array("i", [0]), array("i"))
+                               array("i", [0]), array("i"), None)
     spent = sum(level.state_count for level in digraph._levels()) \
         if digraph else 0
     while digraph is None or digraph.n < n:
+        dropped = 0
         if digraph is None:
             tails, counts = range(len(adj)), list(map(len, adj))
         else:
             tails = digraph._tail
             first, head = digraph._first.tolist(), digraph._head.tolist()
-            # j has a move onto its tail iff the tail neighbours its head
-            counts = [first[b + 1] - first[b] - (t in adj[h]) for t, h, b
-                      in zip(tails, digraph._head, digraph._suffix)]
+            # j has a move onto its tail iff the tail neighbours its head;
+            # that move is dropped, and counted
+            counts = [first[b + 1] - first[b]
+                      - (t in adj[h] and (dropped := dropped + 1) > 0)
+                      for t, h, b in zip(tails, digraph._head,
+                                         digraph._suffix)]
         spent += sum(counts)
         if spent > budget:
             raise _budget_error(budget, n)
@@ -459,12 +480,22 @@ def _grow(space, n, budget, digraph=None):
             suffix = array("i", [k for t, b in zip(tails, digraph._suffix)
                                  for k in range(first[b], first[b + 1])
                                  if head[k] != t])
-            head = array(code, [head[k] for k in suffix])
-        tail = array(code, itertools.chain.from_iterable(
-            map(itertools.repeat, tails, counts)))
+            # mapped, not listed: a list as long as the level would raise
+            # the process's peak memory
+            head = array(code, map(head.__getitem__, suffix))
+        offsets = array("i", itertools.accumulate(counts, initial=0))
+        # the states are in lexicographic order, so their tails are
+        # sorted and the new tails are V runs: run v extends the states
+        # [lo, hi) whose tail is v
+        tail = array(code)
+        lo = 0
+        for v in range(len(adj)):
+            hi = bisect_left(tails, v + 1, lo)
+            tail += array(code, [v]) * (offsets[hi] - offsets[lo])
+            lo = hi
         digraph = TransferDigraph(
             space, digraph.n + 1 if digraph else 1, digraph, tail, head,
-            array("i", itertools.accumulate(counts, initial=0)), suffix)
+            offsets, suffix, dropped)
     return digraph
 
 
@@ -493,8 +524,13 @@ class TransferabilityResult:
 
     ``value`` is the largest n up to ``search_bound`` found
     transferable (0 when none is); the sweep builds each n's digraph
-    from the last one's but decides every n on its own, assuming no
-    monotonicity.  ``truncated_at`` names the first n the budget
+    from the last one's and assumes no monotonicity.  It carries one
+    verdict over without a search: when n - 1 is transferable and
+    building the n-paths dropped no move (the graph has no n-cycle), H
+    is the transfer digraph of the (n - 1)-paths, one strong component
+    of at least two nodes, so its line digraph is one component and n
+    is transferable too (Harary & Norman).  Every other n is decided by
+    its own search.  ``truncated_at`` names the first n the budget
     refused, or None.
     """
 
@@ -515,7 +551,7 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
     if max_n is not None and max_n < 1:
         raise ValueError("path length must be at least 1")
     space = _Space(graph)
-    digraph = None
+    digraph = verdict = None
     per_n = []
     value = 0
     truncated_at = None
@@ -525,7 +561,10 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
         except BudgetError:
             truncated_at = n
             break
-        verdict = digraph._verdict()
+        if verdict and verdict.transferable and digraph._dropped == 0:
+            verdict = NPathVerdict(n, True, "", digraph.state_count, 1)
+        else:
+            verdict = digraph._verdict()
         if max_n is None and verdict.reason == "no-n-path":
             break
         per_n.append(verdict)

@@ -78,6 +78,32 @@ def path_graph(n):
             for i in range(n)}
 
 
+def grid_graph(p, q):
+    vs = {(i, j): "g%d.%d" % (i, j) for i in range(p) for j in range(q)}
+    return {v: tuple(vs[w] for w in ((i - 1, j), (i + 1, j), (i, j - 1),
+                                     (i, j + 1)) if w in vs)
+            for (i, j), v in vs.items()}
+
+
+def cube_graph(d):
+    """The d-dimensional hypercube Q_d on bit strings."""
+    return {format(i, "0%db" % d): tuple(format(i ^ 1 << k, "0%db" % d)
+                                         for k in range(d))
+            for i in range(1 << d)}
+
+
+def random_bipartite_graph(rng, left, right, edge_prob):
+    """Each of the left x right edges independently, so the graph may be
+    disconnected or have isolated vertices, and has no odd cycle."""
+    adj = {"x%d" % i: [] for i in range(left)}
+    adj.update(("y%d" % j, []) for j in range(right))
+    for i, j in itertools.product(range(left), range(right)):
+        if rng.random() < edge_prob:
+            adj["x%d" % i].append("y%d" % j)
+            adj["y%d" % j].append("x%d" % i)
+    return {v: tuple(row) for v, row in adj.items()}
+
+
 def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
     """A connected simple graph: random spanning tree plus random edges."""
     vs = ["r%d" % i for i in range(num_vertices)]

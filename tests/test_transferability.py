@@ -11,15 +11,17 @@ from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
-                                     _bfs_distances, _sources, _Space,
+                                     TransferDigraph, _bfs_distances,
+                                     _sources, _Space,
                                      _tarjan, build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
                                      transferability)
 
-from conftest import (block_digraph_by_dfs, complete_graph, cycle_graph,
-                      iter_states_by_copies, longest_path_bound,
-                      moves_by_scan, path_graph, petersen_graph,
+from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
+                      cycle_graph, grid_graph, iter_states_by_copies,
+                      longest_path_bound, moves_by_scan, path_graph,
+                      petersen_graph, random_bipartite_graph,
                       random_connected_graph, scc_sizes_by_arcs, seeded_rng)
 
 
@@ -242,6 +244,20 @@ def tarjan_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def verdict_calls(monkeypatch):
+    """The n of each ``TransferDigraph._verdict`` search the test makes."""
+    calls = []
+    search = TransferDigraph._verdict
+
+    def counted(self):
+        calls.append(self.n)
+        return search(self)
+
+    monkeypatch.setattr(TransferDigraph, "_verdict", counted)
+    return calls
+
+
 def test_searched_verdict_matches_the_component_count(tarjan_calls):
     """Trimming H and two forward searches on its core decide every n
     below V and count its components as Tarjan does, falling back to
@@ -267,19 +283,69 @@ def test_searched_verdict_matches_the_component_count(tarjan_calls):
     assert 0 < fallback < 300
 
 
-def test_cubic_maps_count_their_components_without_tarjan(tarjan_calls):
+def test_cubic_maps_count_their_components_without_tarjan(tarjan_calls,
+                                                         verdict_calls):
     """At n = 13 on both 54-vertex cubic maps the trimmed block digraph
     is one component, so the sweep and the single verdict count the 865
-    and 961 components of the failing n with no Tarjan run."""
+    and 961 components of the failing n with no Tarjan run.  The maps
+    have cycles of length 3 and 12 but none of length 4..11, so the
+    sweep searches only n = 1, 2, 3, 12 and 13 and carries the rest."""
     for rs, sccs in ((truncate(hex_torus(3, 3)), 865),
                      (truncate(hex_klein(3, 3)), 961)):
         graph = rs.adjacency()
+        verdict_calls.clear()
         result = transferability(graph, 13)
+        assert verdict_calls == [1, 2, 3, 12, 13]
         verdict = n_verdict(graph, 13)
         assert result.per_n[-1] == verdict
         assert verdict.scc_count == sccs
         assert result.value == 12
     assert tarjan_calls == []
+
+
+def _carry_cases():
+    """Graphs that lack some cycle lengths, so that some levels drop no
+    move onto a tail: bipartite ones, cycles, and Petersen."""
+    yield "Q3", cube_graph(3)
+    yield "grid(2,3)", grid_graph(2, 3)
+    yield "grid(3,4)", grid_graph(3, 4)
+    yield "C6", cycle_graph(6)
+    yield "C8", cycle_graph(8)
+    yield "petersen", petersen_graph()
+    yield "hex_torus(3,3)", topology(hex_torus(3, 3)).rs.adjacency()
+    rng = seeded_rng(1217)
+    for trial in range(40):
+        yield "bipartite-%d" % trial, random_bipartite_graph(
+            rng, rng.randint(1, 5), rng.randint(1, 5), rng.random())
+
+
+def test_carried_rows_equal_the_searched_verdict(verdict_calls):
+    """A sweep row carried without a search, over a level that drops no
+    move, equals the single-n verdict and the verdict of one depth-first
+    search.  Petersen has no cycle of length 3, 4 or 7, and the
+    bipartite hex_torus(3,3) no odd one and none of length 4, so those
+    rows are carried while n - 1 is transferable (up to n = 9 there)."""
+    carried = {}
+    for name, graph in _carry_cases():
+        verdict_calls.clear()
+        rows = transferability(graph).per_n
+        carried[name] = [row.n for row in rows if row.n not in verdict_calls]
+        for row in rows:
+            assert row == n_verdict(graph, row.n) == \
+                block_digraph_by_dfs(graph, row.n).verdict, (name, row.n)
+    assert carried["petersen"] == [3, 4, 7]
+    assert carried["hex_torus(3,3)"] == [3, 4, 5, 7, 9]
+
+
+def test_no_carry_onto_the_empty_digraph_past_the_vertex_count():
+    """The empty digraph for n >= V is built from no level, so it has no
+    count of dropped moves, not a count of zero: on K2 the transferable
+    n = 1 must not carry over to n = 2 and 3, which have no n-path."""
+    result = transferability(complete_graph(2), 3)
+    assert result.per_n == (NPathVerdict(1, True, "", 2, 1),
+                            NPathVerdict(2, False, "no-n-path", 0, 0),
+                            NPathVerdict(3, False, "no-n-path", 0, 0))
+    assert result.value == 1
 
 
 def test_two_cycles_fall_back_to_tarjan(tarjan_calls):
