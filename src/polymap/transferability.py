@@ -259,33 +259,19 @@ class TransferDigraph:
         return range(self._first[b], self._first[b + 1])
 
     def scc_summary(self):
-        """Arcs of H inside one of its strong components form one strong
-        component; an arc across two forms one alone (Harary & Norman)."""
-        first, suffix = self._first, self._suffix
-        label = _tarjan(len(first) - 1, first, suffix)
-        heads = [label[b] for b in suffix]
-        inner = [0] * (len(first) - 1)
-        for b in range(len(first) - 1):
-            inner[label[b]] += heads[first[b]:first[b + 1]].count(label[b])
-        sizes = sorted(filter(None, inner), reverse=True)
-        sizes += [1] * (len(suffix) - sum(inner))
-        return SccSummary(count=len(sizes), sizes=tuple(sizes))
+        """The strong components of the transfer digraph, by trimming H.
 
-    def _verdict(self):
-        """The n-verdict, with its component count, by trimming H.
-
-        The nodes of H in the in-degree-0 cascade lie on no cycle.
-        Reversing every path maps H onto its converse, so the
-        out-degree-0 cascade is their image under reversal (the identity
-        for n = 1, whose nodes are vertices), and no reverse arc is
-        needed.  Every trimmed node is a component of H alone.  What is
-        left, the core, is one component iff forward searches from a
-        core node x and from rev(x), kept to arcs into the core, reach
-        all of it.  Then the count is 1 + the arcs with a trimmed end
-        (Harary & Norman, as in ``scc_summary``), and the n is
-        transferable iff no arc has a trimmed end; an empty core leaves
-        one component per state.  Only a core that is not one component
-        falls back to Tarjan.
+        Arcs of H inside one of its strong components form one strong
+        component; an arc across two forms one alone (Harary & Norman).
+        The in-degree-0 cascade of H lies on no cycle, and reversing
+        every path maps H onto its converse, so the out-degree-0 cascade
+        is its image under reversal (the identity for n = 1, whose nodes
+        are vertices) and no reverse arc is needed.  Each trimmed node
+        is a component of H alone, so each arc with a trimmed end is one
+        component.  What is left, the core, is one component iff forward
+        searches from a core node x and from rev(x), kept to arcs into
+        the core, reach all of it; then its arcs are one more component.
+        Only a core that splits goes through Tarjan.
 
         The first search proves half of that by reversal: if x reaches
         every core node rev(y), reversing the path shows that y reaches
@@ -295,9 +281,6 @@ class TransferDigraph:
         the core ever leaves rev(x) short of it is open; until a proof
         that it cannot, both searches run.
         """
-        n, states = self.n, self.state_count
-        if not states:
-            return NPathVerdict(n, False, "no-n-path", 0, 0)
         first, suffix = self._first.tolist(), self._suffix.tolist()
         sources = _sources(first, suffix)
         prev = self._prev
@@ -315,12 +298,28 @@ class TransferDigraph:
                   itertools.compress(range(len(trim)), trim))
         cut += sum(not trim[c] for b in sources
                    for c in suffix[first[b]:first[b + 1]])
-        x, core = trim.find(0), trim.count(0)
+        x, core, states = trim.find(0), trim.count(0), len(suffix)
         if x < 0 or _reach(first, suffix, trim, x) == core == \
                 _reach(first, suffix, trim, rev(x)):
-            count = (x >= 0) + cut
+            # with no core every arc has a trimmed end: cut == states
+            sizes = (states - cut,) * (x >= 0) + (1,) * cut
         else:
-            count = self.scc_summary().count
+            label = _tarjan(len(trim), first, suffix)
+            heads = [label[c] for c in suffix]
+            inner = [0] * len(trim)
+            for b, a in enumerate(label):
+                inner[a] += heads[first[b]:first[b + 1]].count(a)
+            sizes = sorted(filter(None, inner), reverse=True)
+            sizes += [1] * (states - sum(inner))
+        return SccSummary(count=len(sizes), sizes=tuple(sizes))
+
+    def _verdict(self):
+        """The n-verdict: no n-path, or transferable iff the transfer
+        digraph is one strong component (``scc_summary``)."""
+        n, states = self.n, self.state_count
+        if not states:
+            return NPathVerdict(n, False, "no-n-path", 0, 0)
+        count = self.scc_summary().count
         ok = count == 1
         return NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
                             states, count)

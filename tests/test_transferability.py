@@ -259,39 +259,43 @@ def verdict_calls(monkeypatch):
 
 
 def test_searched_verdict_matches_the_component_count(tarjan_calls):
-    """Trimming H and two forward searches on its core decide every n
-    below V and count its components as Tarjan does, falling back to
-    Tarjan on some graphs only; the sweep's rows equal those of one
-    depth-first search per n."""
-    disconnected = fallback = 0
+    """Trimming H and two forward searches on its core count the
+    components of every n below V as the stored-arc oracle does; Tarjan
+    splits the core on some (graph, n) pairs only, and on others every
+    component is a single state.  The single verdict and the sweep's
+    rows equal those of one depth-first search per n."""
+    disconnected = pairs = split = single = 0
     for trial, graph in enumerate(_verdict_cases()):
         rows = [block_digraph_by_dfs(graph, n).verdict
                 for n in range(1, len(graph))]
-        fell_back = False
         for row in rows:
+            assert n_verdict(graph, row.n) == row, (trial, graph)
             calls = len(tarjan_calls)
-            verdict = n_verdict(graph, row.n)
-            fell_back |= len(tarjan_calls) > calls
-            assert verdict == row, (trial, graph)
-            assert verdict.transferable == (build_transfer_digraph(
-                graph, row.n).scc_summary().count == 1), (trial, graph)
-        fallback += fell_back
+            summary = build_transfer_digraph(graph, row.n).scc_summary()
+            split += len(tarjan_calls) > calls
+            assert (summary.count, summary.sizes) == \
+                scc_sizes_by_arcs(graph, row.n), (trial, graph, row.n)
+            single += summary.count == row.state_count > 0
+            pairs += 1
         per_n = transferability(graph).per_n
         assert list(per_n) == rows[:len(per_n)], (trial, graph)
         disconnected += not rows or not rows[0].transferable
     assert disconnected > 50
-    assert 0 < fallback < 300
+    assert 0 < split < pairs
+    assert single > 0
 
 
 def test_cubic_maps_count_their_components_without_tarjan(tarjan_calls,
                                                          verdict_calls):
     """At n = 13 on both 54-vertex cubic maps the trimmed block digraph
-    is one component, so the sweep and the single verdict count the 865
-    and 961 components of the failing n with no Tarjan run.  The maps
-    have cycles of length 3 and 12 but none of length 4..11, so the
-    sweep searches only n = 1, 2, 3, 12 and 13 and carries the rest."""
-    for rs, sccs in ((truncate(hex_torus(3, 3)), 865),
-                     (truncate(hex_klein(3, 3)), 961)):
+    is one component, so the sweep, the single verdict and
+    ``scc_summary`` count the 865 and 961 components of the failing n
+    with no Tarjan run: one big component and the rest single states.
+    The maps have cycles of length 3 and 12 but none of length 4..11,
+    so the sweep searches only n = 1, 2, 3, 12 and 13 and carries the
+    rest."""
+    for rs, big, sccs in ((truncate(hex_torus(3, 3)), 160056, 865),
+                          (truncate(hex_klein(3, 3)), 159504, 961)):
         graph = rs.adjacency()
         verdict_calls.clear()
         result = transferability(graph, 13)
@@ -300,6 +304,8 @@ def test_cubic_maps_count_their_components_without_tarjan(tarjan_calls,
         assert result.per_n[-1] == verdict
         assert verdict.scc_count == sccs
         assert result.value == 12
+        assert build_transfer_digraph(graph, 13).scc_summary().sizes == \
+            (big,) + (1,) * (sccs - 1)
     assert tarjan_calls == []
 
 
