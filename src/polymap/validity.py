@@ -8,9 +8,11 @@ span consecutive spokes; the wheel loop checks the rest (>= 3 spokes,
 distinct spoke ends, a simple rim).  The global consequences
 (3-connectivity, closed 2-cell) are cross-checked against the wheel
 verdict; a disagreement in the implied direction is a bug in this
-package, not bad input, and raises RuntimeError.  3-connectivity runs
-one cut-vertex search on G - u for every vertex u, O(V * (V + E)) in
-all, and names the first separating pair in sorted order.
+package, not bad input, and raises RuntimeError.  3-connectivity is
+decided by one separation-pair test on a single DFS tree, O((V + E)
+log V); only a graph that fails it pays one cut-vertex search on
+G - u per vertex u, O(V * (V + E)), to name the first separating pair
+in sorted order.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -18,6 +20,7 @@ report serialisation unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -114,7 +117,7 @@ def _wheel_on_closed(top):
 
 
 def check_3_connected(graph):
-    """3-connectivity by one cut-vertex search per deleted vertex.
+    """3-connectivity by one separation-pair test on a DFS tree.
 
     ``graph`` maps each vertex to an iterable of neighbours; an edge
     counts if either end lists it, and loops and neighbours that are not
@@ -123,10 +126,10 @@ def check_3_connected(graph):
     witness); the witness is the first separating pair (u, w), u < w in
     sorted order, or () when the graph is disconnected or too small.
 
-    For each u in sorted order one iterative lowpoint search (Tarjan
-    1972) on G - u finds the partners w > u with {u, w} separating, so
-    the test costs O(V * (V + E)) where deleting every pair would cost
-    O(V^2 * (V + E)).
+    The verdict comes from one depth-first search
+    (``_has_separation_pair``, O((V + E) log V)).  Only a graph that
+    fails it pays the per-vertex search (``_first_separating_pair``,
+    O(V * (V + E))), which names the witness.
     """
     names = sorted(graph)
     if len(names) < 4:
@@ -141,6 +144,162 @@ def check_3_connected(graph):
                 rows[i].add(j)
                 rows[j].add(i)
     adj = [tuple(row) for row in rows]
+    if not _has_separation_pair(adj):
+        return True, None
+    return _first_separating_pair(names, adj)
+
+
+def _has_separation_pair(adj):
+    """True iff the simple graph ``adj`` on integers 0..V-1, V >= 4, is
+    disconnected or has a cut vertex or a separating pair.
+
+    One DFS from 0 numbers the vertices in preorder, so an ancestor has
+    the smaller number and "above" means nearer the root.  In a
+    2-connected graph both vertices of a separating pair lie on one root
+    path (Hopcroft & Tarjan 1973): a above b.  Let a' be the child of a
+    toward b.  For each vertex c with parent b, ``low[c]`` and ``hi[c]``
+    are the farthest and the nearest landing strictly above b of a frond
+    (non-tree edge) from c's subtree.  G - {a, b} falls apart in one of
+    two ways:
+
+    - type 1: a child c of b has low[c] == hi[c] == a, so its subtree
+      reaches nothing but a and b, and some vertex lies outside it;
+    - type 2: a is not the root and b lies strictly below a'.  The
+      part of subtree(a') outside subtree(b) sends no frond above a
+      (test A), and no child c of b reaches both above a and between a
+      and b, i.e. depth(low[c]) < depth(a) < depth(hi[c]) for none
+      (test B).
+
+    Test A is kept along the DFS path as the set of depths of a that
+    pass it for the current b; each vertex x truncates the set to the
+    depths that its parent and its siblings' subtrees do not jump over,
+    and adds its grandparent's depth if they jump over nothing.
+    """
+    num = len(adj)
+    pre = [-1] * num
+    pre[0] = 0
+    order = [0]
+    parent = [0] * num  # by preorder number, as everything below
+    path = [0]
+    rows = [iter(adj[0])]
+    while rows:
+        for w in rows[-1]:
+            if pre[w] < 0:
+                pre[w] = len(order)
+                parent[pre[w]] = pre[path[-1]]
+                order.append(w)
+                path.append(w)
+                rows.append(iter(adj[w]))
+                break
+        else:
+            path.pop()
+            rows.pop()
+    if len(order) < num:
+        return True
+    depth = [0] * num
+    kids = [[] for _ in order]
+    landings = [[] for _ in order]  # landings[w]: starts of fronds to w
+    low = list(range(num))
+    for x in range(1, num):
+        p = parent[x]
+        depth[x] = depth[p] + 1
+        kids[p].append(x)
+        for y in adj[order[x]]:
+            w = pre[y]
+            if w < p:
+                landings[w].append(x)
+                if w < low[x]:
+                    low[x] = w
+    own = low[:]  # farthest landing of x's own fronds, x if none
+    size = [1] * num
+    for x in range(num - 1, 0, -1):
+        p = parent[x]
+        size[p] += size[x]
+        if low[x] < low[p]:
+            low[p] = low[x]
+        if p and low[x] >= p:
+            return True  # p is a cut vertex
+    if len(kids[0]) > 1:
+        return True  # so is the root
+
+    # hi[c] by fronds in order of landing, nearest to the root last: a
+    # frond x -> w paints each unpainted c from x up to two below w, and
+    # a painted vertex is skipped by union-find
+    hi = [0] * num
+    up = list(range(num))
+    for w in range(num - 1, -1, -1):
+        floor = depth[w] + 2
+        for v in landings[w]:
+            while True:
+                while up[v] != v:  # path halving
+                    up[v] = v = up[up[v]]
+                if depth[v] < floor:
+                    break
+                hi[v] = w
+                up[v] = v = parent[v]
+
+    for c in range(1, num):
+        if parent[c] and low[c] == hi[c] and size[c] < num - 2:
+            return True  # type 1
+
+    # sib[x]: depth of the farthest landing of a frond from parent(x)
+    # or from a sibling's subtree; no farther than parent(x) if none
+    sib = [0] * num
+    for p, ks in enumerate(kids):
+        m1 = m2 = own[p]
+        for c in ks:
+            if low[c] < m1:
+                m1, m2 = low[c], m1
+            elif low[c] < m2:
+                m2 = low[c]
+        for c in ks:
+            sib[c] = depth[m2 if low[c] == m1 else m1]
+
+    passing = [0] * num  # the depths of a passing test A, ascending
+    count = 0
+    undo = []  # (count, slot, old value) per path vertex below the root
+    for b in range(1, num):
+        top = depth[b]
+        while len(undo) >= top:
+            count, slot, old = undo.pop()
+            if slot >= 0:
+                passing[slot] = old
+        kept = bisect_right(passing, sib[b], 0, count)
+        if sib[b] >= top - 2 >= 1:
+            undo.append((count, kept, passing[kept]))
+            passing[kept] = top - 2
+            kept += 1
+        else:
+            undo.append((count, -1, 0))
+        count = kept
+        if not count:
+            continue
+        # test B: the nearest passing depth that no child of b bridges;
+        # children by their nearest landing, nearest first
+        d = passing[count - 1]
+        left = count
+        for near, far in sorted([(depth[hi[c]], depth[low[c]])
+                                 for c in kids[b]], reverse=True):
+            if near <= d:
+                break
+            if far < d:
+                left = bisect_right(passing, far, 0, left)
+                if not left:
+                    break
+                d = passing[left - 1]
+        if left:
+            return True  # type 2
+    return False
+
+
+def _first_separating_pair(names, adj):
+    """The per-vertex search: (verdict, witness) as ``check_3_connected``.
+
+    For each u in sorted order one iterative lowpoint search (Tarjan
+    1972) on G - u finds the partners w > u with {u, w} separating, so
+    the test costs O(V * (V + E)) where deleting every pair would cost
+    O(V^2 * (V + E)).
+    """
     if _lowpoint_search(adj, None)[0] != 1:
         return False, ()
     for u in range(len(adj)):

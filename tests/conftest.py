@@ -120,6 +120,26 @@ def random_connected_graph(rng, num_vertices, extra_edge_prob=0.35):
     return {v: tuple(sorted(row)) for v, row in adj.items()}
 
 
+def random_cubic_graph(rng, num_vertices):
+    """A simple 3-regular graph on an even number of vertices, >= 4, by
+    the pairing model: three points per vertex, matched at random, drawn
+    again until no loop or double edge is left.  Not always connected."""
+    vs = ["c%d" % i for i in range(num_vertices)]
+    while True:
+        points = [v for v in vs for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2]))
+                 for i in range(0, len(points), 2)}
+        if (len(edges) == len(points) // 2
+                and all(u != w for u, w in edges)):
+            break
+    adj = {v: [] for v in vs}
+    for u, w in sorted(edges):
+        adj[u].append(w)
+        adj[w].append(u)
+    return {v: tuple(row) for v, row in adj.items()}
+
+
 def iter_states_by_copies(space, n, budget, start_order=None):
     """All length-n states in lexicographic order (or by given starts),
     as tuples of vertex indices, each stack entry a fresh copy of its

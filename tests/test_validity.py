@@ -1,6 +1,7 @@
 """Simplicity, closed 2-cells, wheel neighborhoods, 3-connectivity."""
 
 import itertools
+import random
 
 import hypothesis
 import hypothesis.strategies as st
@@ -9,9 +10,10 @@ import pytest
 
 import polymap.validity
 from conftest import (base_corpus, pairs_3_connected, perturb,
-                      random_connected_graph, seeded_rng, subdivide,
-                      wheel_by_arcs)
-from polymap.generators import hex_torus, tetrahedron, truncate
+                      random_connected_graph, random_cubic_graph, seeded_rng,
+                      subdivide, wheel_by_arcs)
+from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
+                                truncate)
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import (check_3_connected, check_closed_2cell,
                               check_polyhedral, check_simple_map,
@@ -210,6 +212,80 @@ def test_3_connectivity_property(num_vertices, pairs):
             graph[u].add(w)
             graph[w].add(u)
     assert check_3_connected(graph) == pairs_3_connected(graph)
+
+
+def test_separation_pair_test_on_every_small_graph():
+    """The one-DFS test and the per-vertex search give the same verdict
+    on all 33,856 labelled graphs on 4 to 6 vertices."""
+    total = 0
+    for num in (4, 5, 6):
+        pairs = list(itertools.combinations(range(num), 2))
+        for mask in range(1 << len(pairs)):
+            rows = [[] for _ in range(num)]
+            for k, (u, w) in enumerate(pairs):
+                if mask >> k & 1:
+                    rows[u].append(w)
+                    rows[w].append(u)
+            adj = [tuple(row) for row in rows]
+            fast = polymap.validity._has_separation_pair(adj)
+            ok, _ = polymap.validity._first_separating_pair(range(num), adj)
+            assert fast == (not ok), adj
+            total += 1
+    assert total == 33856
+
+
+@st.composite
+def glued_blocks(draw):
+    """Two or more wheels with chords, glued on two shared vertices s and
+    t, with optional cross edges and the vertex names shuffled.  Unless
+    a cross edge joins two blocks, {s, t} separates them."""
+    edges = []
+    size = 2  # vertex 0 is s, vertex 1 is t
+    for _ in range(draw(st.integers(2, 4))):
+        rim = draw(st.integers(3, 6))
+        block = list(range(rim + 1))  # hub 0, rim 1..rim
+        wheel = [(0, i) for i in range(1, rim + 1)]
+        wheel += [(i, i % rim + 1) for i in range(1, rim + 1)]
+        wheel += draw(st.lists(st.tuples(st.sampled_from(block),
+                                         st.sampled_from(block)),
+                               max_size=3))
+        shared = draw(st.permutations(block))
+        place = {shared[0]: 0, shared[1]: 1}
+        for v in shared[2:]:
+            place[v] = size
+            size += 1
+        edges += [(place[u], place[w]) for u, w in wheel]
+    edges += draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                     st.integers(0, size - 1)), max_size=2))
+    names = draw(st.permutations(["g%02d" % i for i in range(size)]))
+    graph = {v: set() for v in names}
+    for u, w in edges:
+        graph[names[u]].add(names[w])
+        graph[names[w]].add(names[u])
+    return graph
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(glued_blocks())
+def test_3_connectivity_on_glued_blocks(graph):
+    assert check_3_connected(graph) == pairs_3_connected(graph)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(st.integers(2, 11), st.integers(0, 2 ** 32))
+def test_3_connectivity_on_random_cubic_graphs(half, seed):
+    graph = random_cubic_graph(random.Random(seed), 2 * half)
+    assert check_3_connected(graph) == pairs_3_connected(graph)
+
+
+def test_3_connected_maps_never_fall_back(monkeypatch):
+    """A 3-connected map is accepted by the one-DFS test alone."""
+    def fall_back(names, adj):
+        raise AssertionError("per-vertex search ran on a 3-connected graph")
+    monkeypatch.setattr(polymap.validity, "_first_separating_pair", fall_back)
+    for rs in (hex_torus(14, 14), tri_torus(12, 12), hex_klein(10, 10),
+               truncate(hex_torus(6, 6)), hex_torus(30, 30)):
+        assert check_3_connected(rs.adjacency()) == (True, None)
 
 
 @pytest.fixture(scope="module")
