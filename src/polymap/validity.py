@@ -9,10 +9,10 @@ distinct spoke ends, a simple rim).  The global consequences
 (3-connectivity, closed 2-cell) are cross-checked against the wheel
 verdict; a disagreement in the implied direction is a bug in this
 package, not bad input, and raises RuntimeError.  3-connectivity is
-decided by one separation-pair test on a single DFS tree, O((V + E)
-log V); only a graph that fails it pays one cut-vertex search on
-G - u per vertex u, O(V * (V + E)), to name the first separating pair
-in sorted order.
+decided on a single DFS tree, O((V + E) log V); only a graph that
+fails repeats the same search on G - u per vertex u, O(V * (V + E)),
+to name the first separating pair in sorted order, and a pair that no
+deletion confirms raises RuntimeError too.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -126,13 +126,15 @@ def check_3_connected(graph):
     witness); the witness is the first separating pair (u, w), u < w in
     sorted order, or () when the graph is disconnected or too small.
 
-    The verdict comes from one depth-first search
-    (``_has_separation_pair``, O((V + E) log V)).  Only a graph that
-    fails it pays the per-vertex search (``_first_separating_pair``,
-    O(V * (V + E))), which names the witness.
+    One depth-first search (``_dfs``) finds a disconnected graph or a
+    cut vertex, and its tree decides a separating pair
+    (``_has_separation_pair``), O((V + E) log V) in all.  Only a graph
+    that fails repeats the search on G - u for each u, O(V * (V + E)),
+    to name the witness (``_first_separating_pair``).
     """
     names = sorted(graph)
-    if len(names) < 4:
+    num = len(names)
+    if num < 4:
         return False, ()
     index = {v: i for i, v in enumerate(names)}
     rows = [set() for _ in names]
@@ -144,23 +146,70 @@ def check_3_connected(graph):
                 rows[i].add(j)
                 rows[j].add(i)
     adj = [tuple(row) for row in rows]
-    if not _has_separation_pair(adj):
-        return True, None
-    return _first_separating_pair(names, adj)
+    pre = [-1] * num
+    tree = _dfs(adj, 0, pre)
+    if len(tree[0]) < num:
+        return False, ()
+    if _cut_vertices(*tree) or _has_separation_pair(adj, pre, *tree):
+        return False, _first_separating_pair(names, adj)
+    return True, None
 
 
-def _has_separation_pair(adj):
-    """True iff the simple graph ``adj`` on integers 0..V-1, V >= 4, is
-    disconnected or has a cut vertex or a separating pair.
+def _dfs(adj, root, pre):
+    """One iterative depth-first search from ``root`` through the
+    vertices v with pre[v] < 0, numbering them in preorder into ``pre``
+    (pre[v] = len(adj) deletes v).  Returns the vertices reached in
+    preorder and, by preorder number, each one's parent and lowpoint:
+    the farthest vertex an edge from its subtree reaches, i.e. the
+    farthest landing of a frond (non-tree edge) above its parent, or
+    the parent if none.  An ancestor has the smaller number, so "above"
+    means nearer the root.
+    """
+    pre[root] = x = 0
+    order = [root]
+    parent = [0]
+    low = [0]
+    rows = [iter(adj[root])]
+    while rows:
+        lx = low[x]
+        for y in rows[-1]:
+            d = pre[y]
+            if d < 0:
+                parent.append(x)
+                low.append(x)
+                x = pre[y] = len(order)
+                order.append(y)
+                rows.append(iter(adj[y]))
+                break
+            if d < lx:
+                low[x] = lx = d
+        else:
+            rows.pop()
+            x = parent[x]
+            if lx < low[x]:
+                low[x] = lx
+    return order, parent, low
 
-    One DFS from 0 numbers the vertices in preorder, so an ancestor has
-    the smaller number and "above" means nearer the root.  In a
-    2-connected graph both vertices of a separating pair lie on one root
-    path (Hopcroft & Tarjan 1973): a above b.  Let a' be the child of a
-    toward b.  For each vertex c with parent b, ``low[c]`` and ``hi[c]``
-    are the farthest and the nearest landing strictly above b of a frond
-    (non-tree edge) from c's subtree.  G - {a, b} falls apart in one of
-    two ways:
+
+def _cut_vertices(order, parent, low):
+    """The cut vertices of the piece ``_dfs`` searched: the parent of a
+    vertex x whose subtree reaches nothing above it, and the root if it
+    has a second child."""
+    return {order[parent[x]] for x in range(2, len(order))
+            if low[x] == parent[x]}
+
+
+def _has_separation_pair(adj, pre, order, parent, low):
+    """True iff the 2-connected simple graph ``adj`` on integers 0..V-1,
+    V >= 4, has a separating pair; the other arguments are ``_dfs``
+    from 0 on it.
+
+    In a 2-connected graph both vertices of a separating pair lie on one
+    root path (Hopcroft & Tarjan 1973): a above b.  Let a' be the child
+    of a toward b.  For each vertex c with parent b, ``low[c]`` and
+    ``hi[c]`` are the farthest and the nearest landing strictly above b
+    of a frond from c's subtree.  G - {a, b} falls apart in one of two
+    ways:
 
     - type 1: a child c of b has low[c] == hi[c] == a, so its subtree
       reaches nothing but a and b, and some vertex lies outside it;
@@ -176,30 +225,10 @@ def _has_separation_pair(adj):
     and adds its grandparent's depth if they jump over nothing.
     """
     num = len(adj)
-    pre = [-1] * num
-    pre[0] = 0
-    order = [0]
-    parent = [0] * num  # by preorder number, as everything below
-    path = [0]
-    rows = [iter(adj[0])]
-    while rows:
-        for w in rows[-1]:
-            if pre[w] < 0:
-                pre[w] = len(order)
-                parent[pre[w]] = pre[path[-1]]
-                order.append(w)
-                path.append(w)
-                rows.append(iter(adj[w]))
-                break
-        else:
-            path.pop()
-            rows.pop()
-    if len(order) < num:
-        return True
     depth = [0] * num
     kids = [[] for _ in order]
     landings = [[] for _ in order]  # landings[w]: starts of fronds to w
-    low = list(range(num))
+    own = list(range(num))  # farthest landing of x's own fronds, x if none
     for x in range(1, num):
         p = parent[x]
         depth[x] = depth[p] + 1
@@ -208,20 +237,11 @@ def _has_separation_pair(adj):
             w = pre[y]
             if w < p:
                 landings[w].append(x)
-                if w < low[x]:
-                    low[x] = w
-    own = low[:]  # farthest landing of x's own fronds, x if none
+                if w < own[x]:
+                    own[x] = w
     size = [1] * num
     for x in range(num - 1, 0, -1):
-        p = parent[x]
-        size[p] += size[x]
-        if low[x] < low[p]:
-            low[p] = low[x]
-        if p and low[x] >= p:
-            return True  # p is a cut vertex
-    if len(kids[0]) > 1:
-        return True  # so is the root
-
+        size[parent[x]] += size[x]
     # hi[c] by fronds in order of landing, nearest to the root last: a
     # frond x -> w paints each unpainted c from x up to two below w, and
     # a painted vertex is skipped by union-find
@@ -293,79 +313,35 @@ def _has_separation_pair(adj):
 
 
 def _first_separating_pair(names, adj):
-    """The per-vertex search: (verdict, witness) as ``check_3_connected``.
+    """The first separating pair (u, w) of a connected graph that has one.
 
-    For each u in sorted order one iterative lowpoint search (Tarjan
-    1972) on G - u finds the partners w > u with {u, w} separating, so
-    the test costs O(V * (V + E)) where deleting every pair would cost
-    O(V^2 * (V + E)).
-    """
-    if _lowpoint_search(adj, None)[0] != 1:
-        return False, ()
-    for u in range(len(adj)):
-        pieces, cut = _lowpoint_search(adj, u)
-        if pieces == 1:
-            separating = cut
-        else:
-            # G - u - w is connected only when one other piece is left
-            # and w is a piece of its own, i.e. u is its only neighbour
-            separating = [pieces > 2 or any(x != u for x in row)
-                          for row in adj]
-        for w in range(u + 1, len(adj)):
-            if separating[w]:
-                return False, (names[u], names[w])
-    return True, None
-
-
-def _lowpoint_search(adj, u):
-    """Pieces of G - u and its cut vertices.
-
-    One iterative depth-first search with lowpoints over integer
-    vertices; ``u`` None deletes nothing.  Returns (piece count, cut
-    flags indexed by vertex).
+    For each u in sorted order one ``_dfs`` on G - u finds the partners
+    w > u with {u, w} separating, so the search costs O(V * (V + E))
+    where deleting every pair would cost O(V^2 * (V + E)).  When G - u
+    is connected they are its cut vertices.  When it splits, a second
+    search tells two pieces from more: {u, w} separates unless exactly
+    two pieces are left and w is one of them alone.
     """
     num = len(adj)
-    disc = [0] * num  # 0 unvisited; discovery times start at 1
-    low = [0] * num
-    cut = [False] * num
-    if u is not None:
-        disc[u] = -1
-    pieces = 0
-    counter = 1
-    for root in range(num):
-        if disc[root]:
-            continue
-        pieces += 1
-        disc[root] = low[root] = counter
-        counter += 1
-        children = 0
-        path = [root]
-        rows = [iter(adj[root])]
-        while rows:
-            v = path[-1]
-            for w in rows[-1]:
-                d = disc[w]
-                if d == 0:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    path.append(w)
-                    rows.append(iter(adj[w]))
-                    break
-                if 0 < d < low[v]:
-                    low[v] = d
+    for u in range(num - 1):
+        pre = [-1] * num
+        pre[u] = num
+        order, parent, low = _dfs(adj, int(u == 0), pre)
+        if len(order) == num - 1:
+            partners = _cut_vertices(order, parent, low)
+        else:
+            rest = _dfs(adj, pre.index(-1), pre)[0]
+            if len(order) + len(rest) < num - 1:
+                partners = range(u + 1, num)
             else:
-                path.pop()
-                rows.pop()
-                if len(path) > 1:
-                    p = path[-1]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    elif low[v] >= disc[p]:
-                        cut[p] = True
-                elif path:
-                    children += 1
-        cut[root] = children > 1
-    return pieces, cut
+                partners = [w for piece in (order, rest) if len(piece) > 1
+                            for w in piece]
+        w = min((w for w in partners if w > u), default=None)
+        if w is not None:
+            return names[u], names[w]
+    raise RuntimeError(
+        "the separation-pair test found a pair that no vertex deletion "
+        "confirms; this is a bug in polymap")
 
 
 def check_polyhedral(top):

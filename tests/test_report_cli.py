@@ -409,3 +409,20 @@ def test_internal_contradiction_exits_4(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unconfirmed_separation_pair_exits_4(capsys, monkeypatch, tmp_path):
+    """A separation pair that the witness search cannot name is a bug in
+    polymap, not a verdict: ``check_3_connected`` raises, and the CLI
+    prints one stderr line and exits 4."""
+    path = tmp_path / "tetra.map"
+    path.write_text(serialize_map(tetrahedron()), encoding="utf-8")
+    monkeypatch.setattr(polymap.validity, "_has_separation_pair",
+                        lambda *tree: True)
+    with pytest.raises(RuntimeError, match="separation-pair test"):
+        polymap.validity.check_3_connected(tetrahedron().adjacency())
+    code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -166,7 +166,8 @@ def test_3_connectivity_witness_matches_pair_deletion_on_random_graphs():
 
 def test_3_connectivity_lone_vertex_piece_does_not_separate():
     """G - a has two pieces, the lone pendant b and a K4, so {a, b}
-    leaves the K4 connected and the first separating pair is {a, c}."""
+    leaves the K4 connected and the first separating pair is {a, c};
+    with a third piece {a, b} separates."""
     k4 = "cdef"
     graph = {"a": ("b", "c", "d"), "b": ("a",)}
     for v in k4:
@@ -179,6 +180,16 @@ def test_3_connectivity_lone_vertex_piece_does_not_separate():
     moved = {relabel[v]: tuple(relabel[w] for w in row)
              for v, row in graph.items()}
     assert check_3_connected(moved) == pairs_3_connected(moved)
+    # G - a has three pieces, the lone b and two K4s that a joins by two
+    # edges each, so {a, b} separates the K4s
+    graph = {"a": ("b", "c", "d", "g", "h"), "b": ("a",)}
+    for k4 in ("cdef", "ghij"):
+        for v in k4:
+            graph[v] = tuple(w for w in k4 if w != v)
+            if v in "cdgh":
+                graph[v] += ("a",)
+    assert check_3_connected(graph) == pairs_3_connected(graph) \
+        == (False, ("a", "b"))
 
 
 def test_3_connectivity_witness_on_every_subdivided_edge():
@@ -215,21 +226,19 @@ def test_3_connectivity_property(num_vertices, pairs):
 
 
 def test_separation_pair_test_on_every_small_graph():
-    """The one-DFS test and the per-vertex search give the same verdict
-    on all 33,856 labelled graphs on 4 to 6 vertices."""
+    """Verdict and witness equal the brute-force pair loop's on all
+    33,856 labelled graphs on 4 to 6 vertices."""
     total = 0
     for num in (4, 5, 6):
         pairs = list(itertools.combinations(range(num), 2))
         for mask in range(1 << len(pairs)):
-            rows = [[] for _ in range(num)]
+            graph = {v: [] for v in range(num)}
             for k, (u, w) in enumerate(pairs):
                 if mask >> k & 1:
-                    rows[u].append(w)
-                    rows[w].append(u)
-            adj = [tuple(row) for row in rows]
-            fast = polymap.validity._has_separation_pair(adj)
-            ok, _ = polymap.validity._first_separating_pair(range(num), adj)
-            assert fast == (not ok), adj
+                    graph[u].append(w)
+                    graph[w].append(u)
+            assert check_3_connected(graph) == pairs_3_connected(graph), \
+                graph
             total += 1
     assert total == 33856
 
@@ -279,13 +288,20 @@ def test_3_connectivity_on_random_cubic_graphs(half, seed):
 
 
 def test_3_connected_maps_never_fall_back(monkeypatch):
-    """A 3-connected map is accepted by the one-DFS test alone."""
-    def fall_back(names, adj):
-        raise AssertionError("per-vertex search ran on a 3-connected graph")
-    monkeypatch.setattr(polymap.validity, "_first_separating_pair", fall_back)
+    """A 3-connected map is accepted by one depth-first search: the
+    witness loop, which searches G - u for every u, never runs."""
+    calls = []
+    search = polymap.validity._dfs
+
+    def counted(adj, root, pre):
+        calls.append(root)
+        return search(adj, root, pre)
+    monkeypatch.setattr(polymap.validity, "_dfs", counted)
     for rs in (hex_torus(14, 14), tri_torus(12, 12), hex_klein(10, 10),
                truncate(hex_torus(6, 6)), hex_torus(30, 30)):
+        calls.clear()
         assert check_3_connected(rs.adjacency()) == (True, None)
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
