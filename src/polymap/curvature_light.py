@@ -200,16 +200,17 @@ class TheoremScan:
 def scan_theorem2(top, validity):
     """Classify every vertex and check the large-map guarantee.
 
+    The table is matched once per distinct vertex type.
+
     ``validity`` is the ValidityReport of the same topology (the caller
     usually has it already; the hypotheses need it).
     """
     chi = top.euler_characteristic
     n = top.num_vertices
-    light = tuple(
-        (v, row)
-        for v in top.rs.vertices
-        for row in [match_light(top.vertex_type(v))]
-        if row is not None)
+    types = {v: top.vertex_type(v) for v in top.rs.vertices}
+    rows = {t: match_light(t) for t in set(types.values())}
+    light = tuple((v, rows[t]) for v, t in types.items()
+                  if rows[t] is not None)
     simple_polyhedral = (validity.polyhedral and validity.is_simple
                          and validity.min_degree_ok)
     chi_ok = chi <= 0

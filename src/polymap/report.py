@@ -13,6 +13,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 from .curvature_light import curvature
@@ -61,10 +62,16 @@ def validity_section(report):
 
 
 def curvature_section(top):
-    phi = {v: curvature(top, v) for v in top.rs.vertices}
+    # Phi depends only on the vertex type: one evaluation per type.
+    types = {v: top.vertex_type(v) for v in top.rs.vertices}
+    one_of = {t: v for v, t in types.items()}
+    phi = {t: curvature(top, v) for t, v in one_of.items()}
+    text = {t: fraction_str(c) for t, c in phi.items()}
+    counts = Counter(types.values())
     return {
-        "vertex_curvature": {v: fraction_str(c) for v, c in phi.items()},
-        "total": fraction_str(sum(phi.values(), Fraction(0))),
+        "vertex_curvature": {v: text[t] for v, t in types.items()},
+        "total": fraction_str(sum((counts[t] * c for t, c in phi.items()),
+                                  Fraction(0))),
     }
 
 

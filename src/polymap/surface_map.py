@@ -16,8 +16,11 @@ to the rotation successor there (predecessor while the accumulated
 signature is negative).  The trace walks over ``(dart, side)`` pairs so
 that every dart is seen from both of its sides exactly once; each face
 is traced once per direction, and the direction traced first is kept.
-Construction stores each edge's two ends once and runs one signed
-spanning search, which checks connectivity and decides orientability.
+:func:`topology` numbers the darts ``2 * rank(edge) + end``, so the ids
+sort like the darts they name, and traces on integer states through
+lists indexed by dart id.  Construction stores each edge's two ends
+once (the only record of a dart's vertex) and runs one signed spanning
+search, which checks connectivity and decides orientability.
 
 Vertex and edge identifiers are plain strings throughout (the map file
 format and the generators only ever produce strings); any hashable,
@@ -74,8 +77,6 @@ class RotationSystem:
         self.vertices = tuple(sorted(rotation_edges))
         ends = {}
         rotation = {}
-        self._dart_vertex = {}
-        self._dart_pos = {}
         for v in self.vertices:
             row = tuple(rotation_edges[v])
             if not row:
@@ -86,10 +87,7 @@ class RotationSystem:
                 if len(at) > 1:
                     raise StructureError(
                         "edge %r appears more than twice" % (e,))
-                d = Dart(e, len(at))
-                self._dart_vertex[d] = v
-                self._dart_pos[d] = len(darts)
-                darts.append(d)
+                darts.append(Dart(e, len(at)))
                 at.append(v)
             rotation[v] = tuple(darts)
         bad = sorted(e for e, at in ends.items() if len(at) != 2)
@@ -167,7 +165,11 @@ class RotationSystem:
         return len(self.rotation[v])
 
     def dart_vertex(self, d):
-        return self._dart_vertex[d]
+        """The vertex at dart ``d``; KeyError if ``d`` is not a dart here."""
+        edge, end = d
+        if end not in (0, 1) or edge not in self._ends:
+            raise KeyError(d)
+        return self._ends[edge][end]
 
     def endpoints(self, e):
         """Both endpoints of edge ``e`` in end order (equal for a loop)."""
@@ -215,44 +217,48 @@ class FacialWalk:
     degree: int
 
 
-def _trace_walks(rs):
-    """Raw two-sided face trace: orbits over (dart, side) states.
+def _trace_walks(neg, succ, pred):
+    """Raw two-sided face trace: orbits over integer states.
 
-    Starts are taken in (dart, side +1 before -1) order, so each orbit
-    begins at its smallest state.  An orbit is decided as it closes:
-    kept as traced if its mirror is not traced yet, dropped if it is.
+    Dart ``i`` is end ``i & 1`` of edge ``i >> 1`` in sorted order, and
+    ``succ``/``pred`` give its rotation neighbours; ``neg[e]`` is true for
+    a negative edge.  State ``2 * i + b`` leaves along dart ``i`` with
+    side +1 (b = 0) or -1 (b = 1), so states sort like ``(dart, side)``
+    pairs taken +1 before -1, and each orbit begins at its smallest
+    state.  An orbit is decided as it closes: kept as traced if its
+    mirror is not traced yet, dropped if it is.
     """
-    sig, vertex_of, pos = rs.signature, rs._dart_vertex, rs._dart_pos
-
-    def step(state):
-        d, side = state
-        side = side * sig[d.edge]
-        opp = d.opposite()
-        rot = rs.rotation[vertex_of[opp]]
-        return (rot[(pos[opp] + side) % len(rot)], side)
-
-    orbit_of = {}
+    # Arriving over dart i ^ 1, turn to its rotation successor while the
+    # side times the signature reads +1, to its predecessor otherwise.
+    step = []
+    for i in range(len(succ)):
+        o = i ^ 1
+        if neg[i >> 1]:
+            step += (2 * pred[o] + 1, 2 * succ[o])
+        else:
+            step += (2 * succ[o], 2 * pred[o] + 1)
+    # step is a permutation, so every orbit closes at its start.
+    orbit_of = [-1] * len(step)
     walks = []
-    for start in ((d, s) for d in sorted(vertex_of) for s in (1, -1)):
-        if start in orbit_of:
+    for start in range(len(step)):
+        if orbit_of[start] >= 0:
             continue
         orbit = []
         cur = start
-        while cur not in orbit_of:
+        while orbit_of[cur] < 0:
             orbit_of[cur] = start
             orbit.append(cur)
-            cur = step(cur)
-        if cur != start:
-            raise StructureError("face trace did not close at %r" % (cur,))
-        d, side = start
-        mirror = orbit_of.get((d.opposite(), -side * sig[d.edge]))
+            cur = step[cur]
+        # The mirror leaves along the other end of the edge, on the side
+        # the signature makes of this one, reversed.
+        mirror = orbit_of[start ^ 2 ^ (not neg[start >> 2])]
         if mirror == start:
             raise StructureError("facial walk is its own mirror image")
-        if mirror is None:
+        if mirror < 0:
             walks.append(orbit)
     # By smallest dart; two faces may share it, seen from its two
     # sides, and then side -1 comes first, unlike in the trace order.
-    walks.sort(key=lambda walk: walk[0])
+    walks.sort(key=lambda walk: walk[0] ^ 1)
     return walks
 
 
@@ -284,34 +290,53 @@ class MapTopology:
 
     def __init__(self, rs):
         self.rs = rs
+        # Dart tables indexed by dart id 2 * rank(edge) + end: the Dart,
+        # its vertex, its rotation position, successor and predecessor.
+        rank = {e: r for r, e in enumerate(rs.edges)}
+        num = 2 * len(rank)
+        dart, vertex = [None] * num, [None] * num
+        pos, succ, pred = [0] * num, [0] * num, [0] * num
+        rows = []
+        for v in rs.vertices:
+            row = rs.rotation[v]
+            ids = [2 * rank[e] + end for e, end in row]
+            prev = ids[-1]
+            for t, i in enumerate(ids):
+                dart[i], vertex[i], pos[i] = row[t], v, t
+                pred[i], succ[prev] = prev, i
+                prev = i
+            rows.append(ids)
+        neg = [rs.signature[e] < 0 for e in rs.edges]
         walks = []
-        corner = {v: [None] * rs.degree(v) for v in rs.vertices}
-        edge_faces = {e: [] for e in rs.edges}
-        for idx, states in enumerate(_trace_walks(rs)):
-            darts = tuple(d for d, _ in states)
+        # corner[i]: the face at the corner after rotation dart i
+        corner = [-1] * num
+        sides = [[] for _ in rs.edges]
+        for idx, states in enumerate(_trace_walks(neg, succ, pred)):
+            ids = [s >> 1 for s in states]
             walks.append(FacialWalk(
-                darts=darts,
-                vertex_sequence=tuple(rs.dart_vertex(d) for d in darts),
-                degree=len(darts),
+                darts=tuple([dart[i] for i in ids]),
+                vertex_sequence=tuple([vertex[i] for i in ids]),
+                degree=len(ids),
             ))
-            n = len(states)
-            for i in range(n):
-                d, _ = states[i]
-                nxt, side = states[(i + 1) % n]
-                edge_faces[d.edge].append(idx)
-                arrive = d.opposite()
-                w = rs.dart_vertex(nxt)
-                t = rs._dart_pos[arrive] if side == 1 else rs._dart_pos[nxt]
-                if corner[w][t] is not None:
+            for s, nxt in zip(states, states[1:] + states[:1]):
+                sides[s >> 2].append(idx)
+                # the turn from arrival dart (s >> 1) ^ 1 to nxt's dart
+                # passes the corner after the former on side +1, after
+                # the latter on side -1
+                c = nxt >> 1 if nxt & 1 else (s >> 1) ^ 1
+                if corner[c] >= 0:
                     raise StructureError(
-                        "corner %d of vertex %r traced twice" % (t, w))
-                corner[w][t] = idx
-        for v, faces in corner.items():
-            if None in faces:
-                raise StructureError("corner of vertex %r never traced" % (v,))
+                        "corner %d of vertex %r traced twice"
+                        % (pos[c], vertex[c]))
+                corner[c] = idx
+        vertex_faces = {v: tuple([corner[i] for i in ids])
+                        for v, ids in zip(rs.vertices, rows)}
+        if -1 in corner:
+            v = next(v for v, faces in vertex_faces.items() if -1 in faces)
+            raise StructureError("corner of vertex %r never traced" % (v,))
         self.faces = tuple(walks)
-        self.vertex_faces = {v: tuple(faces) for v, faces in corner.items()}
-        self.edge_faces = {e: tuple(sides) for e, sides in edge_faces.items()}
+        self.vertex_faces = vertex_faces
+        self.edge_faces = dict(zip(rs.edges, map(tuple, sides)))
         self.face_degrees = tuple(w.degree for w in self.faces)
         self.vertex_degrees = {v: rs.degree(v) for v in rs.vertices}
         self.euler_characteristic = (

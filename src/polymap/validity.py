@@ -99,11 +99,12 @@ def check_wheel_neighborhood(top):
 def _wheel_on_closed(top):
     """The per-vertex wheel test; assumes a closed 2-cell map."""
     rs = top.rs
+    ends = rs._ends
     for v in rs.vertices:
         k = rs.degree(v)
         if k < 3:
             return False, ("wheel", v, "fewer than 3 spokes")
-        rim = [rs.dart_vertex(d.opposite()) for d in rs.rotation[v]]
+        rim = [ends[e][1 - end] for e, end in rs.rotation[v]]
         if v in rim or len(set(rim)) != k:
             return False, ("wheel", v, "spoke endpoints not distinct")
         for f in top.vertex_faces[v]:

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from polymap.errors import BudgetError
+from polymap.errors import BudgetError, StructureError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
-from polymap.surface_map import Dart, RotationSystem, topology
+from polymap.surface_map import (Dart, FacialWalk, RotationSystem,
+                                 topology)
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      SccSummary, _Space, _tarjan)
 from polymap.validity import check_closed_2cell, check_polyhedral
@@ -379,6 +380,74 @@ def wheel_by_arcs(top):
         if v in rim or len(set(rim)) != len(rim):
             return False, ("wheel", v, "rim is not a simple cycle")
     return True, None
+
+
+def trace_by_dart_states(rs):
+    """The face trace over ``(Dart, side)`` states, with the corners and
+    edge sides assembled from them: faces, ``vertex_faces`` and
+    ``edge_faces``, or the first StructureError.  The oracle for
+    ``topology``'s trace on integer dart ids."""
+    vertex_of, pos = {}, {}
+    for v in rs.vertices:
+        for t, d in enumerate(rs.rotation[v]):
+            vertex_of[d], pos[d] = v, t
+    sig = rs.signature
+
+    def step(state):
+        d, side = state
+        side = side * sig[d.edge]
+        opp = d.opposite()
+        rot = rs.rotation[vertex_of[opp]]
+        return (rot[(pos[opp] + side) % len(rot)], side)
+
+    orbit_of = {}
+    walks = []
+    for start in ((d, s) for d in sorted(vertex_of) for s in (1, -1)):
+        if start in orbit_of:
+            continue
+        orbit = []
+        cur = start
+        while cur not in orbit_of:
+            orbit_of[cur] = start
+            orbit.append(cur)
+            cur = step(cur)
+        if cur != start:
+            raise StructureError("face trace did not close at %r" % (cur,))
+        d, side = start
+        mirror = orbit_of.get((d.opposite(), -side * sig[d.edge]))
+        if mirror == start:
+            raise StructureError("facial walk is its own mirror image")
+        if mirror is None:
+            walks.append(orbit)
+    walks.sort(key=lambda walk: walk[0])
+
+    faces = []
+    corner = {v: [None] * rs.degree(v) for v in rs.vertices}
+    edge_faces = {e: [] for e in rs.edges}
+    for idx, states in enumerate(walks):
+        darts = tuple(d for d, _ in states)
+        faces.append(FacialWalk(darts=darts,
+                                vertex_sequence=tuple(vertex_of[d]
+                                                      for d in darts),
+                                degree=len(darts)))
+        n = len(states)
+        for i in range(n):
+            d, _ = states[i]
+            nxt, side = states[(i + 1) % n]
+            edge_faces[d.edge].append(idx)
+            w = vertex_of[nxt]
+            t = pos[d.opposite()] if side == 1 else pos[nxt]
+            if corner[w][t] is not None:
+                raise StructureError(
+                    "corner %d of vertex %r traced twice" % (t, w))
+            corner[w][t] = idx
+    for v, at in corner.items():
+        if None in at:
+            raise StructureError("corner of vertex %r never traced" % (v,))
+    return SimpleNamespace(
+        faces=tuple(faces),
+        vertex_faces={v: tuple(at) for v, at in corner.items()},
+        edge_faces={e: tuple(at) for e, at in edge_faces.items()})
 
 
 def dart_endpoints(rs, e):

@@ -10,14 +10,16 @@ import pytest
 import polymap.curvature_light
 import polymap.report
 import polymap.validity
+from conftest import drum
 from polymap.cli import main
-from polymap.curvature_light import curvature
+from polymap.curvature_light import curvature, match_light, scan_theorem2
 from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
                                 truncate)
 from polymap.mapfile import parse_map, serialize_map
 from polymap.report import (curvature_section, fraction_str, render_json,
                             render_text)
 from polymap.surface_map import topology
+from polymap.validity import check_polyhedral
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -69,19 +71,41 @@ def test_render_text_keys_list_items_and_whole_fractions():
     assert json.loads(render_json(doc))["two"] == "2/1"
 
 
-def test_curvature_section_evaluates_phi_once_per_vertex(monkeypatch):
-    calls = []
+def test_phi_and_light_rows_evaluated_once_per_vertex_type(monkeypatch):
+    """Phi and the light-table match depend only on the vertex type:
+    ``curvature_section`` calls ``curvature`` and ``scan_theorem2`` calls
+    ``match_light`` once per distinct type, with unchanged results: one
+    call on hex_torus(3,3), all (6,6,6), and six on a pegged drum."""
+    phi_calls, light_calls = [], []
 
-    def counted(top, v):
-        calls.append(v)
+    def counted_curvature(top, v):
+        phi_calls.append(top.vertex_type(v))
         return curvature(top, v)
 
-    monkeypatch.setattr(polymap.report, "curvature", counted)
-    monkeypatch.setattr(polymap.curvature_light, "curvature", counted)
-    top = topology(hex_torus(3, 3))
-    section = curvature_section(top)
-    assert sorted(calls) == sorted(top.rs.vertices)
-    assert section["total"] == "0/1"
+    def counted_match(vertex_type):
+        light_calls.append(vertex_type)
+        return match_light(vertex_type)
+
+    monkeypatch.setattr(polymap.report, "curvature", counted_curvature)
+    monkeypatch.setattr(polymap.curvature_light, "curvature",
+                        counted_curvature)
+    monkeypatch.setattr(polymap.curvature_light, "match_light", counted_match)
+    for rs, num_types in ((hex_torus(3, 3), 1),
+                          (drum(8, 3, pegged=True), 6)):
+        top = topology(rs)
+        types = {top.vertex_type(v) for v in rs.vertices}
+        assert len(types) == num_types
+        phi_calls.clear()
+        light_calls.clear()
+        section = curvature_section(top)
+        scan = scan_theorem2(top, check_polyhedral(top))
+        assert sorted(phi_calls) == sorted(light_calls) == sorted(types)
+        assert section["vertex_curvature"] == {
+            v: fraction_str(curvature(top, v)) for v in rs.vertices}
+        assert section["total"] == fraction_str(top.euler_characteristic)
+        assert scan.light == tuple(
+            (v, match_light(top.vertex_type(v))) for v in rs.vertices
+            if match_light(top.vertex_type(v)) is not None)
 
 
 def test_render_json_round_trips():

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from conftest import (dart_endpoints, full_corpus, perturb, seeded_rng,
-                      signed_tree_orientable)
+                      signed_tree_orientable, trace_by_dart_states)
 from polymap.mapfile import parse_map
 from polymap.errors import StructureError
 from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
@@ -241,6 +241,55 @@ def test_perturbed_systems_still_trace_cleanly():
         top = topology(rs)
         assert sum(top.face_degrees) == 2 * top.num_edges
         assert isinstance(top.euler_characteristic, int)
+
+
+def _traced(trace, rs):
+    """Faces, corners and edge sides of ``rs`` by ``trace``, or the
+    message of the StructureError it raises."""
+    try:
+        top = trace(rs)
+    except StructureError as exc:
+        return str(exc)
+    return top.faces, top.vertex_faces, top.edge_faces
+
+
+@st.composite
+def _bouquets(draw):
+    """One vertex with 1 to 4 loops in any rotation and any signs."""
+    loops = ["l%d" % i for i in range(draw(st.integers(1, 4)))]
+    row = draw(st.permutations(loops + loops))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(loops),
+                          max_size=len(loops)))
+    return RotationSystem({"a": row}, dict(zip(loops, signs)))
+
+
+@st.composite
+def _mutants(draw):
+    base = _CORPUS[draw(st.sampled_from(sorted(_CORPUS)))]
+    return perturb(base, random.Random(draw(st.integers(0, 2**32))),
+                   moves=draw(st.integers(1, 4)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.one_of(st.sampled_from(sorted(_CORPUS)).map(_CORPUS.get),
+                            _mutants(), _bouquets()))
+def test_trace_matches_the_dart_state_oracle(rs):
+    """The trace on integer dart ids gives the faces (darts, vertex
+    sequences, degrees), corners and edge sides of the trace over
+    ``(Dart, side)`` states, or the same StructureError: on the corpus,
+    perturb mutants (chi < 0, non-orientable, reversed rotations) and
+    one-vertex maps of loops."""
+    assert _traced(topology, rs) == _traced(trace_by_dart_states, rs)
+
+
+def test_dart_vertex_rejects_darts_not_in_the_system():
+    rs = hex_torus(3, 3)
+    e = rs.edges[0]
+    assert rs.dart_vertex(Dart(e, 0)) == rs.endpoints(e)[0]
+    assert rs.dart_vertex(Dart(e, 1)) == rs.endpoints(e)[1]
+    for d in (Dart(e, -1), Dart(e, 2), Dart("no such edge", 0)):
+        with pytest.raises(KeyError):
+            rs.dart_vertex(d)
 
 
 def test_equality_and_repr():
