@@ -22,10 +22,9 @@ guarantees it must.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import StructureError
 
 __all__ = [
     "DEGREE_CAP",
@@ -141,20 +140,21 @@ LIGHT_TABLE = (
 )
 
 
+def _phi(vertex_type):
+    # Phi of a vertex of this type: its degree is the type's length.
+    return sum((Fraction(1, d) for d in vertex_type),
+               1 - Fraction(len(vertex_type), 2))
+
+
 def curvature(top, v):
     """Exact Phi(v), incident faces counted with multiplicity."""
-    if v not in top.vertex_faces:
-        raise StructureError("unknown vertex %r" % (v,))
-    total = 1 - Fraction(top.vertex_degrees[v], 2)
-    for f in top.vertex_faces[v]:
-        total += Fraction(1, top.face_degrees[f])
-    return total
+    return _phi(top.vertex_type(v))
 
 
 def gauss_bonnet_sum(top):
-    """Sum of Phi over all vertices; equals chi exactly."""
-    return sum((curvature(top, v) for v in top.rs.vertices),
-               Fraction(0))
+    """Sum of Phi over all vertices, one Phi per vertex type; equals chi."""
+    counts = Counter(top.vertex_types.values())
+    return sum((n * _phi(t) for t, n in counts.items()), Fraction(0))
 
 
 def match_light(vertex_type):
@@ -207,7 +207,7 @@ def scan_theorem2(top, validity):
     """
     chi = top.euler_characteristic
     n = top.num_vertices
-    types = {v: top.vertex_type(v) for v in top.rs.vertices}
+    types = top.vertex_types
     rows = {t: match_light(t) for t in set(types.values())}
     light = tuple((v, rows[t]) for v, t in types.items()
                   if rows[t] is not None)

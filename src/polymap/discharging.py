@@ -180,10 +180,8 @@ def apply_rule_a2(state, top, ledger):
     at least two 6-faces."""
     state = state._advance("A2")
     for v in top.rs.vertices:
-        if top.vertex_degrees[v] < 4:
-            continue
-        degs = [top.face_degrees[f] for f in top.vertex_faces[v]]
-        if degs.count(6) < 2 or degs.count(3) < 1:
+        vt = top.vertex_types[v]
+        if top.vertex_degrees[v] < 4 or vt.count(6) < 2 or 3 not in vt:
             continue
         for f in top.vertex_faces[v]:
             if top.face_degrees[f] != 3:
@@ -240,7 +238,7 @@ def apply_rule_a4(state, top, ledger):
         if k < HUGE:
             continue
         for v in walk.vertex_sequence:
-            vt = top.vertex_type(v)
+            vt = top.vertex_types[v]
             if vt == (3, 3, 4, k):
                 amount = Fraction(1, 2)
             elif vt == (3, 3, 5, k):
@@ -300,9 +298,9 @@ class LemmaAudit:
 def _audit(top, after_a, final):
     scan = scan_theorem2(top, check_polyhedral(top))
     lemma1 = tuple(
-        (f, top.face_degrees[f], after_a.face_charge[f], lemma1_bound(top.face_degrees[f]))
-        for f in range(len(top.faces))
-        if after_a.face_charge[f] < lemma1_bound(top.face_degrees[f]))
+        (f, d, after_a.face_charge[f], bound)
+        for f, d in enumerate(top.face_degrees)
+        if after_a.face_charge[f] < (bound := lemma1_bound(d)))
     lemma2 = tuple(
         (v, final.vertex_charge[v])
         for v in top.rs.vertices

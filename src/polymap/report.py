@@ -13,10 +13,9 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 
-from .curvature_light import curvature
+from .curvature_light import curvature, gauss_bonnet_sum
 
 __all__ = [
     "fraction_str",
@@ -63,15 +62,12 @@ def validity_section(report):
 
 def curvature_section(top):
     # Phi depends only on the vertex type: one evaluation per type.
-    types = {v: top.vertex_type(v) for v in top.rs.vertices}
+    types = top.vertex_types
     one_of = {t: v for v, t in types.items()}
-    phi = {t: curvature(top, v) for t, v in one_of.items()}
-    text = {t: fraction_str(c) for t, c in phi.items()}
-    counts = Counter(types.values())
+    text = {t: fraction_str(curvature(top, v)) for t, v in one_of.items()}
     return {
         "vertex_curvature": {v: text[t] for v, t in types.items()},
-        "total": fraction_str(sum((counts[t] * c for t, c in phi.items()),
-                                  Fraction(0))),
+        "total": fraction_str(gauss_bonnet_sum(top)),
     }
 
 

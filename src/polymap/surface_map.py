@@ -285,6 +285,9 @@ class MapTopology:
         vertex_faces: vertex -> tuple of face indices, one per corner in
             rotation order (corner ``t`` sits between rotation darts
             ``t`` and ``t+1``); repeated indices are repeated incidences.
+        vertex_types: vertex -> sorted degrees of its faces, one entry
+            per incidence: the type (a1, ..., an) naming a degree-n
+            vertex, all that curvature and the light table read.
         edge_faces: edge -> (face index, face index), its two sides.
     """
 
@@ -337,7 +340,10 @@ class MapTopology:
         self.faces = tuple(walks)
         self.vertex_faces = vertex_faces
         self.edge_faces = dict(zip(rs.edges, map(tuple, sides)))
-        self.face_degrees = tuple(w.degree for w in self.faces)
+        self.face_degrees = degrees = tuple(w.degree for w in self.faces)
+        self.vertex_types = {
+            v: tuple(sorted([degrees[f] for f in faces]))
+            for v, faces in vertex_faces.items()}
         self.vertex_degrees = {v: rs.degree(v) for v in rs.vertices}
         self.euler_characteristic = (
             len(rs.vertices) - len(rs.edges) + len(self.faces))
@@ -356,11 +362,10 @@ class MapTopology:
         return len(self.faces)
 
     def vertex_type(self, v):
-        """Sorted degrees of the faces around ``v``, one entry per
-        incidence: the (a1, ..., an) naming a degree-n vertex."""
-        if v not in self.vertex_faces:
+        """``vertex_types[v]``; StructureError for an unknown vertex."""
+        if v not in self.vertex_types:
             raise StructureError("unknown vertex %r" % (v,))
-        return tuple(sorted(self.face_degrees[f] for f in self.vertex_faces[v]))
+        return self.vertex_types[v]
 
     def classify_edge(self, e):
         """weak: both endpoints of degree 3; semi_weak: exactly one."""

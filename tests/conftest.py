@@ -530,6 +530,19 @@ def drum(m, apex=1, pegged=False):
     return RotationSystem.from_rotations(nb)
 
 
+def medial(rs):
+    """The medial map of an orientable map: one vertex per edge e, and
+    corner edge ``v/ct`` joining the edges of darts t and t+1 at v.  At
+    e = (u, w) the rotation is u/c(t0), u/c(t0-1), w/c(t1), w/c(t1-1),
+    t0 and t1 being e's positions in the rotations at u and w."""
+    def corners(d):
+        v = rs.dart_vertex(d)
+        t, n = rs.rotation[v].index(d), rs.degree(v)
+        return ["%s/c%d" % (v, t), "%s/c%d" % (v, (t - 1) % n)]
+    return RotationSystem({e: corners(Dart(e, 0)) + corners(Dart(e, 1))
+                           for e in rs.edges})
+
+
 def subdivide(rs, edge, k):
     """Replace ``edge`` by a path through k fresh degree-2 vertices."""
     rot = {v: [d.edge for d in rs.rotation[v]] for v in rs.vertices}

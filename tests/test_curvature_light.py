@@ -11,8 +11,11 @@ from polymap.curvature_light import (DEGREE_CAP, LIGHT_TABLE, UNBOUNDED,
                                      match_light, scan_theorem2)
 from polymap.errors import StructureError
 from polymap.generators import hex_torus, k7_torus, tetrahedron, truncate
+from polymap.report import curvature_section, fraction_str
 from polymap.surface_map import topology
 from polymap.validity import check_polyhedral
+
+from conftest import perturb, seeded_rng
 
 F = Fraction
 
@@ -36,9 +39,25 @@ def test_curvature_values():
         curvature(tetra, "missing")
 
 
-def test_gauss_bonnet_on_corpus(corpus_tops):
+def test_gauss_bonnet_on_corpus(corpus, corpus_tops):
     for name, top in corpus_tops.items():
         assert gauss_bonnet_sum(top) == top.euler_characteristic, name
+    # The corpus only has chi in {2, 0}; seeded mutants reach chi < 0.
+    rng = seeded_rng(41)
+    mutants = [topology(perturb(rs, rng))
+               for rs in corpus.values() for _ in range(5)]
+    negative = 0
+    for top in mutants:
+        chi = top.euler_characteristic
+        negative += chi < 0
+        vs = top.rs.vertices
+        assert gauss_bonnet_sum(top) == sum(curvature(top, v)
+                                            for v in vs) == chi
+        assert curvature_section(top)["total"] == fraction_str(chi)
+        for v in vs:
+            assert top.vertex_types[v] == tuple(sorted(
+                top.face_degrees[f] for f in top.vertex_faces[v]))
+    assert (len(mutants), negative) == (130, 117)
 
 
 def test_table_rows_each_accept_and_reject():

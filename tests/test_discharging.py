@@ -10,10 +10,12 @@ from polymap.discharging import (HUGE, ChargeState, TransferLedger,
                                  apply_rule_a4, apply_rule_b, initial_charges,
                                  lemma1_bound, run_discharge)
 from polymap.errors import StructureError
-from polymap.generators import hex_klein, hex_torus, k7_torus, truncate
+from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
+                                truncate)
 from polymap.surface_map import RotationSystem, topology
+from polymap.validity import check_polyhedral
 
-from conftest import antiprism, drum, subdivide
+from conftest import antiprism, drum, medial, subdivide
 
 F = Fraction
 
@@ -136,6 +138,40 @@ def test_quiet_maps_move_no_charge():
         assert set(final.face_charge.values()) == {F(0)}
         assert len(audit.lemma2_violations) == top.num_vertices
         assert not audit.contradiction
+
+
+def test_medial_maps():
+    """The medial map of the tetrahedron is the octahedron; that of
+    hex_torus(3,3) is the kagome torus, every vertex (3,6,3,6)."""
+    octa = topology(medial(tetrahedron()))
+    assert (octa.num_vertices, octa.num_edges, octa.num_faces) == (6, 12, 8)
+    assert set(octa.face_degrees) == {3}
+    assert check_polyhedral(octa).polyhedral
+    kagome = topology(medial(hex_torus(3, 3)))
+    assert (kagome.num_vertices, kagome.euler_characteristic) == (27, 0)
+    assert kagome.orientable and check_polyhedral(kagome).polyhedral
+    for v, faces in kagome.vertex_faces.items():
+        degs = [kagome.face_degrees[f] for f in faces]
+        assert degs in ([3, 6, 3, 6], [6, 3, 6, 3]), (v, degs)
+
+
+def test_rule_a2_on_the_kagome_torus():
+    """Every (3,6,3,6) vertex pays 1 by rule A1 and 1/10 more by rule
+    A2 to each of its two triangles."""
+    top = topology(medial(hex_torus(3, 3)))
+    final, ledger, audit = run_discharge(top)
+    rules = [e.rule for e in ledger.entries]
+    assert (rules.count("A1"), rules.count("A2"), len(rules)) == (54, 54, 108)
+    assert {e.amount for e in ledger.entries if e.rule == "A2"} == {F(1, 10)}
+    assert set(final.vertex_charge.values()) == {F(-1, 5)}
+    by_degree = {(top.face_degrees[f], c)
+                 for f, c in final.face_charge.items()}
+    assert by_degree == {(3, F(3, 10)), (6, F(0))}
+    assert final.total() == 0
+    assert audit.light_count == 27
+    assert audit.lemma1_violations == ()
+    assert len(audit.lemma2_violations) == 27
+    assert not audit.contradiction
 
 
 def test_a3_rejects_minor_and_major_on_same_face():
