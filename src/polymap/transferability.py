@@ -12,7 +12,13 @@ move.  No arc is stored: in lexicographic order the moves from p are
 the *block* of states with prefix p[1:], so the digraph is the line
 digraph of a smaller *block digraph* H, a node per (n - 1)-path and an
 arc per n-path.  The n-paths are built from the (n - 1)-paths, one
-level per edge, so a sweep over n extends one chain of levels.  Since
+level per edge, so a sweep over n extends one chain of levels.  A level
+is built run by run: a run is a maximal stretch of consecutive states
+whose p[1:] are consecutive, the moves out of a run are one range of
+states, and so each run adds one array slice to each column of the next
+level, cut only where a move onto the tail is dropped.  A level thus
+has at most as many runs as the last one plus the moves it drops, and
+the per-state work of a build is array slicing.  Since
 reversing every path turns the digraph into its converse, the sinks
 that trimming H sheds are the reverses of its sources, and two forward
 searches on what is left decide strong connectivity and count the
@@ -122,6 +128,16 @@ class _Space:
         self.adj = tuple(adj)
         # level arrays hold vertex indices as 16-bit ints when they fit
         self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
+        self._integers = array("i")
+
+    def integers(self, count):
+        """An array holding 0, 1, ... up to at least count - 1, grown in
+        place: every level built on this space slices its suffixes from
+        it."""
+        ints = self._integers
+        if len(ints) < count:
+            ints.extend(range(len(ints), count))
+        return ints
 
     def decode(self, state):
         return PathState(tuple(map(self.names.__getitem__, state)))
@@ -189,10 +205,16 @@ class TransferDigraph:
     per state.  H is the transfer digraph of the (n - 1)-paths less
     their moves onto their own tails, which close an n-cycle;
     ``_dropped`` counts those moves (None for the empty digraph of
-    n >= V, which is built from no level).
+    n >= V, which is built from no level).  ``_sizes`` holds the block
+    sizes, ``_first``'s differences, in the vertex typecode.  ``_runs``
+    is a pair of arrays, the first suffix and the length of each
+    maximal run of consecutive states whose suffixes are consecutive:
+    the runs, each expanded, concatenate to ``_suffix``, and the moves
+    out of a run are one range of states.
     """
 
-    def __init__(self, space, n, prev, tail, head, first, suffix, dropped):
+    def __init__(self, space, n, prev, tail, head, first, suffix, dropped,
+                 sizes, run_starts, run_lengths):
         self._space = space
         self.n = n
         self._prev = prev
@@ -201,6 +223,8 @@ class TransferDigraph:
         self._first = first
         self._suffix = suffix
         self._dropped = dropped
+        self._sizes = sizes
+        self._runs = run_starts, run_lengths
 
     @property
     def state_count(self):
@@ -208,7 +232,9 @@ class TransferDigraph:
 
     @property
     def arc_count(self):
-        return sum(map(len, map(self.successors_of, range(len(self._tail)))))
+        first = self._first
+        return sum(first[s + length] - first[s]
+                   for s, length in zip(*self._runs))
 
     def _levels(self):
         """The levels of the chain, one edge first and this one last."""
@@ -449,53 +475,114 @@ def _grow(space, n, budget, digraph=None):
     that many extensions at depth m -- so the budget refuses a level
     before any of it exists.  For n >= V there is no n-path and nothing
     is built.
+
+    A level is built from the runs of the last one (``_runs``): the
+    moves out of a run with suffixes s..s + L - 1 are the states
+    ``range(_first[s], _first[s + L])``, so each run adds a slice of
+    the space's consecutive integers to the new suffixes, a slice of
+    the last heads to the new heads and ``_sizes[s:s + L]`` to the new
+    block sizes.  The slice is cut at each dropped move, so the new
+    level has at most as many runs as the last one plus the moves it
+    drops.  The dropped moves are found by scanning each tail run's
+    heads for the tail's neighbours, and each one's target inside its
+    block: per level the Python work is O(runs + drops + V * deg), and
+    the per-state work is array slicing.
     """
     adj, code = space.adj, space.typecode
     if n >= len(space.names):
         return TransferDigraph(space, n, None, array(code), array(code),
-                               array("i", [0]), array("i"), None)
+                               array("i", [0]), array("i"), None,
+                               array(code), array("i"), array("i"))
     spent = sum(level.state_count for level in digraph._levels()) \
         if digraph else 0
     while digraph is None or digraph.n < n:
-        dropped = 0
         if digraph is None:
-            tails, counts = range(len(adj)), list(map(len, adj))
+            bounds, drops = range(len(adj) + 1), []
+            spent += sum(map(len, adj))
         else:
-            tails = digraph._tail
-            first, head = digraph._first.tolist(), digraph._head.tolist()
-            # j has a move onto its tail iff the tail neighbours its head;
-            # that move is dropped, and counted
-            counts = [first[b + 1] - first[b]
-                      - (t in adj[h] and (dropped := dropped + 1) > 0)
-                      for t, h, b in zip(tails, digraph._head,
-                                         digraph._suffix)]
-        spent += sum(counts)
+            bounds, drops = _tail_moves(adj, digraph)
+            spent += digraph.arc_count - len(drops)
         if spent > budget:
             raise _budget_error(budget, n)
+        starts, lengths = array("i"), array("i")
         if digraph is None:  # a 1-path's p[1:] is its head vertex
             suffix = array("i", itertools.chain.from_iterable(adj))
             head = array(code, suffix)
+            sizes = array(code, map(len, adj))
+            for k in suffix:
+                _add_run(starts, lengths, k, k + 1)
         else:
-            suffix = array("i", [k for t, b in zip(tails, digraph._suffix)
-                                 for k in range(first[b], first[b + 1])
-                                 if head[k] != t])
-            # mapped, not listed: a list as long as the level would raise
-            # the process's peak memory
-            head = array(code, map(head.__getitem__, suffix))
-        offsets = array("i", itertools.accumulate(counts, initial=0))
+            tails, first = digraph._tail, digraph._first
+            sizes = array(code)
+            end = d = 0
+            for s, length in zip(*digraph._runs):
+                sizes += digraph._sizes[s:s + length]
+                lo = first[s]
+                start, end = end, end + length
+                # cut the run's moves at each move onto a tail
+                while d < len(drops) and drops[d] < end:
+                    j = drops[d]
+                    sizes[j] -= 1
+                    b = s + j - start
+                    k = digraph._head.index(tails[j], first[b], first[b + 1])
+                    _add_run(starts, lengths, lo, k)
+                    lo = k + 1
+                    d += 1
+                _add_run(starts, lengths, lo, first[s + length])
+            ints = space.integers(len(tails))
+            suffix, head = array("i"), array(code)
+            for s, length in zip(starts, lengths):
+                suffix += ints[s:s + length]
+                head += digraph._head[s:s + length]
+        offsets = array("i", itertools.accumulate(sizes, initial=0))
         # the states are in lexicographic order, so their tails are
         # sorted and the new tails are V runs: run v extends the states
-        # [lo, hi) whose tail is v
+        # of tail run v
         tail = array(code)
-        lo = 0
         for v in range(len(adj)):
-            hi = bisect_left(tails, v + 1, lo)
-            tail += array(code, [v]) * (offsets[hi] - offsets[lo])
-            lo = hi
+            tail += array(code, [v]) * (offsets[bounds[v + 1]]
+                                        - offsets[bounds[v]])
         digraph = TransferDigraph(
             space, digraph.n + 1 if digraph else 1, digraph, tail, head,
-            offsets, suffix, dropped)
+            offsets, suffix, len(drops), sizes, starts, lengths)
     return digraph
+
+
+def _tail_moves(adj, level):
+    """The bounds of ``level``'s tail runs (tail run v is the states
+    ``range(bounds[v], bounds[v + 1])``) and, ascending, its states
+    with a move onto their own tail: those whose tail neighbours their
+    head, found by scanning each tail run's heads."""
+    tails, heads = level._tail, level._head
+    bounds = [0]
+    for v in range(len(adj)):
+        bounds.append(bisect_left(tails, v + 1, bounds[v]))
+    drops = []
+    for v, row in enumerate(adj):
+        hi = bounds[v + 1]
+        found = []
+        for u in row:
+            j = bounds[v]
+            try:
+                while True:
+                    j = heads.index(u, j, hi)
+                    found.append(j)
+                    j += 1
+            except ValueError:
+                pass
+        drops += sorted(found)
+    return bounds, drops
+
+
+def _add_run(starts, lengths, lo, hi):
+    """Append the suffixes lo..hi - 1 to the runs, extending the last
+    run when it ends at lo, so that every run is maximal."""
+    if lo < hi:
+        if starts and starts[-1] + lengths[-1] == lo:
+            lengths[-1] += hi - lo
+        else:
+            starts.append(lo)
+            lengths.append(hi - lo)
 
 
 @dataclass(frozen=True)

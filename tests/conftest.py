@@ -79,6 +79,14 @@ def path_graph(n):
             for i in range(n)}
 
 
+def star_graph(k):
+    """A hub joined to k leaves."""
+    leaves = ["l%d" % i for i in range(k)]
+    graph = {"hub": tuple(leaves)}
+    graph.update((v, ("hub",)) for v in leaves)
+    return graph
+
+
 def grid_graph(p, q):
     vs = {(i, j): "g%d.%d" % (i, j) for i in range(p) for j in range(q)}
     return {v: tuple(vs[w] for w in ((i - 1, j), (i + 1, j), (i, j - 1),

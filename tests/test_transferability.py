@@ -7,7 +7,8 @@ import networkx
 import pytest
 
 from polymap.errors import BudgetError, StructureError
-from polymap.generators import hex_klein, hex_torus, tetrahedron, truncate
+from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
+                                truncate)
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
@@ -22,7 +23,8 @@ from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
                       cycle_graph, grid_graph, iter_states_by_copies,
                       longest_path_bound, moves_by_scan, path_graph,
                       petersen_graph, random_bipartite_graph,
-                      random_connected_graph, scc_sizes_by_arcs, seeded_rng)
+                      random_connected_graph, scc_sizes_by_arcs, seeded_rng,
+                      star_graph)
 
 
 def naive_is_transferable(graph, n):
@@ -187,13 +189,18 @@ def _oracle_cases():
     yield "C300", cycle_graph(300), (1, 2, 150, 299)
     yield "torus", truncate(hex_torus(3, 3)).adjacency(), range(1, 14)
     yield "klein", truncate(hex_klein(3, 3)).adjacency(), range(1, 14)
+    yield "K7", complete_graph(7), range(1, 6)
+    yield "tri_torus(4,4)", tri_torus(4, 4).adjacency(), range(1, 5)
+    yield "star300", star_graph(300), (1, 2, 3)
 
 
 def test_levels_match_the_block_digraph_of_one_path_search():
     """Each n's digraph, built from the last one's, decodes to the
     states of one depth-first search in the same order, with the same
     successor rows, arc count and components; trees give stuck states,
-    C300 has more than 256 vertices."""
+    C300 has more than 256 vertices.  K7 and tri_torus(4,4) have short
+    runs of consecutive suffixes, and the 300-leaf star a hub of degree
+    300, with 89 700 stuck 2-paths and no 3-path."""
     stuck = 0
     for name, graph, lengths in _oracle_cases():
         for n in lengths:
@@ -207,6 +214,33 @@ def test_levels_match_the_block_digraph_of_one_path_search():
             assert dg.scc_summary() == oracle.scc, (name, n)
             stuck += list(map(len, oracle.rows)).count(0)
     assert stuck > 0
+
+
+def test_runs_are_the_maximal_runs_of_consecutive_suffixes():
+    """At every level of every oracle case the runs, each expanded,
+    concatenate to ``_suffix``; each run is nonempty and no run starts
+    where the last one ends, so each is maximal; and a level has at most
+    as many runs as the last one plus the moves it drops.  On the
+    truncated hexagonal torus the runs stay few while its levels grow to
+    160 920 states."""
+    for name, graph, ns in _oracle_cases():
+        last = None
+        for level in build_transfer_digraph(graph, max(ns))._levels():
+            starts, lengths = level._runs
+            assert [k for s, length in zip(starts, lengths)
+                    for k in range(s, s + length)] == \
+                level._suffix.tolist(), (name, level.n)
+            assert 0 not in lengths, (name, level.n)
+            assert all(s + length != t for s, length, t in
+                       zip(starts, lengths, starts[1:])), (name, level.n)
+            if last is not None:
+                assert len(starts) <= len(last._runs[0]) + level._dropped, \
+                    (name, level.n)
+            last = level
+    th33 = truncate(hex_torus(3, 3)).adjacency()
+    counts = [len(level._runs[0])
+              for level in build_transfer_digraph(th33, 13)._levels()]
+    assert counts[1:] == [198] + [216] * 9 + [648, 3132]
 
 
 def _relabelled(graph, prefix):
@@ -403,8 +437,7 @@ def test_trees_leave_an_empty_core(tarjan_calls):
     edge; from n = 2 its head walks on without backtracking and never
     returns, so H has no cycle, trimming leaves no core and each state
     is a component alone."""
-    star = {"hub": ("l0", "l1", "l2", "l3", "l4")}
-    star.update(("l%d" % i, ("hub",)) for i in range(5))
+    star = star_graph(5)
     for graph in (path_graph(7), star):
         assert n_verdict(graph, 1).scc_count == 1
         for n in range(2, len(graph)):
