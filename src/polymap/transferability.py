@@ -23,6 +23,9 @@ reversing every path turns the digraph into its converse, the sinks
 that trimming H sheds are the reverses of its sources, and two forward
 searches on what is left decide strong connectivity and count the
 components; Tarjan on H runs only when that core is not one component.
+Trimming and the searches also work run by run: in-degrees are prefix
+sums over the runs, and a search visits intervals of nodes, whose moves
+the runs turn into intervals of suffixes.
 H is the transfer digraph of the (n - 1)-paths less their moves onto
 their own tails, so where the graph has no n-cycle the two are equal,
 and a sweep that found n - 1 transferable carries that verdict to n
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -297,7 +300,11 @@ class TransferDigraph:
         component.  What is left, the core, is one component iff forward
         searches from a core node x and from rev(x), kept to arcs into
         the core, reach all of it; then its arcs are one more component.
-        Only a core that splits goes through Tarjan.
+        Trimming and both searches work on ``_runs`` and read ``_first``
+        and ``_suffix`` as arrays: the in-degrees are prefix sums over the
+        runs, and a search visits intervals of nodes, whose arcs the runs
+        cut into intervals of suffixes.  Only a core that splits goes
+        through Tarjan, on per-state lists.
 
         The first search proves half of that by reversal: if x reaches
         every core node rev(y), reversing the path shows that y reaches
@@ -307,8 +314,8 @@ class TransferDigraph:
         the core ever leaves rev(x) short of it is open; until a proof
         that it cannot, both searches run.
         """
-        first, suffix = self._first.tolist(), self._suffix.tolist()
-        sources = _sources(first, suffix)
+        first, suffix, runs = self._first, self._suffix, self._runs
+        sources = _sources(first, suffix, runs)
         prev = self._prev
 
         def rev(b):
@@ -325,11 +332,12 @@ class TransferDigraph:
         cut += sum(not trim[c] for b in sources
                    for c in suffix[first[b]:first[b + 1]])
         x, core, states = trim.find(0), trim.count(0), len(suffix)
-        if x < 0 or _reach(first, suffix, trim, x) == core == \
-                _reach(first, suffix, trim, rev(x)):
+        if x < 0 or _reach(first, runs, trim, x) == core == \
+                _reach(first, runs, trim, rev(x)):
             # with no core every arc has a trimmed end: cut == states
             sizes = (states - cut,) * (x >= 0) + (1,) * cut
         else:
+            first, suffix = first.tolist(), suffix.tolist()
             label = _tarjan(len(trim), first, suffix)
             heads = [label[c] for c in suffix]
             inner = [0] * len(trim)
@@ -371,15 +379,21 @@ class TransferDigraph:
         yield "}\n"
 
 
-def _sources(first, suffix):
-    """The in-degree-0 cascade of H, in the order it is trimmed.  The
-    in-degrees are small ints, which Python shares, so a list holds
-    them in 8 bytes a node as ``array("l")`` would, and counts them
-    about 2.5 times faster."""
-    indegree = [0] * (len(first) - 1)
-    for c in suffix:
-        indegree[c] += 1
-    sources = [b for b, d in enumerate(indegree) if not d]
+def _sources(first, suffix, runs):
+    """The in-degree-0 cascade of H, in the order it is trimmed.  A run
+    covers each of its suffixes once, so the in-degrees are the prefix
+    sums of +1 at each run's first suffix and -1 past its last; the
+    sentinel past the last node stays 0 and stops the scan for zeros."""
+    indegree = [0] * len(first)
+    for s, length in zip(*runs):
+        indegree[s] += 1
+        indegree[s + length] -= 1
+    indegree = list(itertools.accumulate(indegree))
+    sources = []
+    b = indegree.index(0)
+    while b < len(first) - 1:
+        sources.append(b)
+        b = indegree.index(0, b + 1)
     for b in sources:
         for c in suffix[first[b]:first[b + 1]]:
             indegree[c] -= 1
@@ -388,25 +402,52 @@ def _sources(first, suffix):
     return sources
 
 
-def _reach(first, suffix, trim, x):
+def _reach(first, runs, trim, x):
     """How many nodes of the core a breadth-first search on H from x
     reaches, taking only arcs into the core (trimmed nodes start out
-    seen).  Each round gathers the arcs of the last round's new nodes
-    at once."""
+    seen).  The search runs on intervals of nodes: the arcs out of the
+    nodes lo..hi - 1 are the states ``range(first[lo], first[hi])``,
+    which the runs cut into intervals of suffixes, and each unseen
+    stretch of those is marked with one slice and becomes an interval of
+    the next round.  Each round sorts its intervals and merges those
+    that abut, so it meets the runs in order: the bisection for an
+    interval's first run starts at the last interval's last run."""
+    starts, lengths = runs
+    pos = array("i", itertools.accumulate(lengths, initial=0))
     seen = bytearray(trim)
     seen[x] = 1
-    frontier = [x]
+    ones = memoryview(b"\1" * len(seen))
+    frontier = [(x, x + 1)]
     reached = 1
     while frontier:
-        arcs = []
-        for b in frontier:
-            arcs += suffix[first[b]:first[b + 1]]
+        found = []
+        k = 0
+        for lo, hi in frontier:
+            a, b = first[lo], first[hi]
+            k = bisect_right(pos, a, k) - 1
+            while a < b:
+                end = pos[k + 1]
+                if end > b:
+                    end = b
+                c1 = starts[k] + end - pos[k]
+                c = seen.find(0, c1 - end + a, c1)
+                while c >= 0:
+                    e = seen.find(1, c, c1)
+                    if e < 0:
+                        e = c1
+                    seen[c:e] = ones[:e - c]
+                    reached += e - c
+                    found.append((c, e))
+                    c = seen.find(0, e, c1)
+                a = end
+                k += 1
+        found.sort()
         frontier = []
-        for c in arcs:
-            if not seen[c]:
-                seen[c] = 1
-                frontier.append(c)
-        reached += len(frontier)
+        for c, e in found:
+            if frontier and frontier[-1][1] == c:
+                frontier[-1] = frontier[-1][0], e
+            else:
+                frontier.append((c, e))
     return reached
 
 

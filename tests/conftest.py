@@ -317,6 +317,45 @@ def _tarjan_sizes(num, offsets, targets):
     return sizes
 
 
+def sources_by_arcs(first, suffix):
+    """The in-degree-0 cascade of the block digraph H, in the order it
+    is trimmed, from per-state lists: in-degrees counted over every
+    arc target in ``suffix``, then each source's block walked arc by
+    arc.  The oracle for ``transferability._sources`` on the runs."""
+    indegree = [0] * (len(first) - 1)
+    for c in suffix:
+        indegree[c] += 1
+    sources = [b for b, d in enumerate(indegree) if not d]
+    for b in sources:
+        for c in suffix[first[b]:first[b + 1]]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                sources.append(c)
+    return sources
+
+
+def reach_by_arcs(first, suffix, trim, x):
+    """How many untrimmed nodes of H a breadth-first search from x
+    reaches over arcs into untrimmed nodes, one arc at a time on
+    per-state lists.  The oracle for ``transferability._reach`` on the
+    runs."""
+    seen = bytearray(trim)
+    seen[x] = 1
+    frontier = [x]
+    reached = 1
+    while frontier:
+        arcs = []
+        for b in frontier:
+            arcs += suffix[first[b]:first[b + 1]]
+        frontier = []
+        for c in arcs:
+            if not seen[c]:
+                seen[c] = 1
+                frontier.append(c)
+        reached += len(frontier)
+    return reached
+
+
 def pairs_3_connected(graph):
     """Brute-force 3-connectivity: delete every vertex pair in sorted
     order and count the components left.  The oracle for

@@ -2,6 +2,7 @@
 
 import signal
 import sys
+import tracemalloc
 
 import networkx
 import pytest
@@ -13,7 +14,7 @@ from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
                                      TransferDigraph, _bfs_distances,
-                                     _sources, _Space,
+                                     _reach, _sources, _Space,
                                      _tarjan, build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
@@ -23,7 +24,8 @@ from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
                       cycle_graph, grid_graph, iter_states_by_copies,
                       longest_path_bound, moves_by_scan, path_graph,
                       petersen_graph, random_bipartite_graph,
-                      random_connected_graph, scc_sizes_by_arcs, seeded_rng,
+                      random_connected_graph, reach_by_arcs,
+                      scc_sizes_by_arcs, seeded_rng, sources_by_arcs,
                       star_graph)
 
 
@@ -426,10 +428,75 @@ def test_sink_cascade_is_the_reverse_of_the_source_cascade():
             reversed_sources = [
                 b if prev is None else
                 prev.index_of(prev.state_at(b).reverse())
-                for b in _sources(first, suffix)]
+                for b in _sources(dg._first, dg._suffix, dg._runs)]
             assert sorted(sinks) == sorted(reversed_sources), (trial, n)
             trimmed += len(sinks)
     assert trimmed > 0
+
+
+def _trim_cases():
+    for graph in _verdict_cases():
+        yield graph, range(1, len(graph) + 1)
+    for _, graph in _carry_cases():
+        yield graph, range(1, len(graph) + 1)
+    for rs in (truncate(hex_torus(3, 3)), truncate(hex_klein(3, 3))):
+        yield rs.adjacency(), (12, 13)
+    yield truncate(tri_torus(4, 4)).adjacency(), (10, 13)
+
+
+def test_trimming_and_reach_match_the_per_state_oracle():
+    """On the runs, the source cascade (in trimming order) and both
+    forward searches of ``scc_summary`` equal those walked arc by arc
+    on per-state lists.  Cases include the empty digraph of n = V,
+    with no node and no component, n = 1, where reversal is the
+    identity on vertices, cores that one search covers and cores it
+    leaves short, and the heavily trimmed truncate(tri_torus(4,4))."""
+    empty = identity = covered = short = 0
+    for graph, ns in _trim_cases():
+        for n in ns:
+            dg = build_transfer_digraph(graph, n)
+            first, suffix = dg._first.tolist(), dg._suffix.tolist()
+            sources = _sources(dg._first, dg._suffix, dg._runs)
+            assert sources == sources_by_arcs(first, suffix), (graph, n)
+            prev = dg._prev
+
+            def rev(b):
+                return b if prev is None else \
+                    prev.index_of(prev.state_at(b).reverse())
+
+            trim = bytearray(len(first) - 1)
+            for b in sources:
+                trim[b] = trim[rev(b)] = 1
+            x = trim.find(0)
+            if not suffix:
+                empty += 1
+                assert dg.scc_summary().count == 0, (graph, n)
+            for y in () if x < 0 else (x, rev(x)):
+                reached = _reach(dg._first, dg._runs, trim, y)
+                assert reached == reach_by_arcs(first, suffix, trim, y), \
+                    (graph, n, y)
+                identity += n == 1
+                covered += reached == trim.count(0)
+                short += reached < trim.count(0)
+    assert empty > 0 and identity > 0 and covered > 0 and short > 0
+
+
+def test_scc_summary_peaks_little_above_the_chain():
+    """At n = 13 on truncate(hex_torus(3,3)) counting the components
+    allocates less than 3 MiB above the 160 920-state chain it reads:
+    no per-state list is built when the core is one component."""
+    graph = truncate(hex_torus(3, 3)).adjacency()
+    tracemalloc.start()
+    try:
+        dg = build_transfer_digraph(graph, 13)
+        chain = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        summary = dg.scc_summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.count == 865
+    assert peak - chain < 3 << 20, (peak - chain) / (1 << 20)
 
 
 def test_trees_leave_an_empty_core(tarjan_calls):
