@@ -30,10 +30,14 @@ H is the transfer digraph of the (n - 1)-paths less their moves onto
 their own tails, so where the graph has no n-cycle the two are equal,
 and a sweep that found n - 1 transferable carries that verdict to n
 with no search (H strongly connected makes its line digraph so).
+A stuck n-path, one with no move, is a sink of the n-transfer digraph:
+a state whose block is empty.  So past its first start an exhaustive
+search for one is read off the chain of levels 1..n.
 State counts grow quickly with n; a configurable budget on path
 extensions -- the states of every level up to n, which are the steps a
 path search makes, prefixes included -- aborts runs that would not fit
-in memory or time.
+in memory or time.  The chain is charged exactly what an exhaustive
+search is, so the stuck search answers alike either way.
 
 Graphs are plain adjacency mappings (vertex -> iterable of neighbours),
 e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
@@ -271,6 +275,24 @@ class TransferDigraph:
                 return -1
         return i
 
+    def _reverses(self, states):
+        """The indices of the reverses of ``states``, all found in one
+        pass over the levels: the first reads each path's vertices a
+        level at a time, the second bisects a level's blocks for the
+        next vertex of every reversed path (the reverse of a state is
+        always a state, so each bisection finds it)."""
+        levels = self._levels()
+        walks, ends = [], list(states)
+        for level in reversed(levels):
+            tail, suffix = level._tail, level._suffix
+            walks.append([tail[i] for i in ends])
+            ends = [suffix[i] for i in ends]
+        for level, walk in zip(levels, reversed(walks)):
+            first, head = level._first, level._head
+            ends = [bisect_left(head, v, first[i], first[i + 1])
+                    for i, v in zip(ends, walk)]
+        return ends
+
     def state_at(self, i):
         return self._space.decode(self._path(i))
 
@@ -295,11 +317,13 @@ class TransferDigraph:
         The in-degree-0 cascade of H lies on no cycle, and reversing
         every path maps H onto its converse, so the out-degree-0 cascade
         is its image under reversal (the identity for n = 1, whose nodes
-        are vertices) and no reverse arc is needed.  Each trimmed node
-        is a component of H alone, so each arc with a trimmed end is one
-        component.  What is left, the core, is one component iff forward
-        searches from a core node x and from rev(x), kept to arcs into
-        the core, reach all of it; then its arcs are one more component.
+        are vertices) and no reverse arc is needed; the sources are
+        reversed all together, level by level (``_reverses``).  Each
+        trimmed node is a component of H alone, so each arc with a
+        trimmed end is one component.  What is left, the core, is one
+        component iff forward searches from a core node x and from
+        rev(x), kept to arcs into the core, reach all of it; then its
+        arcs are one more component.
         Trimming and both searches work on ``_runs`` and read ``_first``
         and ``_suffix`` as arrays: the in-degrees are prefix sums over the
         runs, and a search visits intervals of nodes, whose arcs the runs
@@ -318,12 +342,12 @@ class TransferDigraph:
         sources = _sources(first, suffix, runs)
         prev = self._prev
 
-        def rev(b):
-            return b if prev is None else prev._find(prev._path(b)[::-1])
+        def rev(nodes):
+            return nodes if prev is None else prev._reverses(nodes)
 
         trim = bytearray(len(first) - 1)
-        for b in sources:
-            trim[b] = trim[rev(b)] = 1
+        for b in itertools.chain(sources, rev(sources)):
+            trim[b] = 1
         # the arcs with a trimmed end: those out of a trimmed node, then
         # those from the core into one, which end at a sink and so,
         # reversed, run from a source into the core
@@ -333,7 +357,7 @@ class TransferDigraph:
                    for c in suffix[first[b]:first[b + 1]])
         x, core, states = trim.find(0), trim.count(0), len(suffix)
         if x < 0 or _reach(first, runs, trim, x) == core == \
-                _reach(first, runs, trim, rev(x)):
+                _reach(first, runs, trim, rev([x])[0]):
             # with no core every arc has a trimmed end: cut == states
             sizes = (states - cut,) * (x >= 0) + (1,) * cut
         else:
@@ -593,26 +617,38 @@ def _tail_moves(adj, level):
     """The bounds of ``level``'s tail runs (tail run v is the states
     ``range(bounds[v], bounds[v + 1])``) and, ascending, its states
     with a move onto their own tail: those whose tail neighbours their
-    head, found by scanning each tail run's heads."""
+    head, found by a byte search of each tail run's heads."""
     tails, heads = level._tail, level._head
     bounds = [0]
     for v in range(len(adj)):
         bounds.append(bisect_left(tails, v + 1, bounds[v]))
+    raw = heads.tobytes()
     drops = []
     for v, row in enumerate(adj):
-        hi = bounds[v + 1]
         found = []
         for u in row:
-            j = bounds[v]
-            try:
-                while True:
-                    j = heads.index(u, j, hi)
-                    found.append(j)
-                    j += 1
-            except ValueError:
-                pass
+            found += _matches(raw, array(heads.typecode, [u]).tobytes(),
+                              bounds[v], bounds[v + 1])
         drops += sorted(found)
     return bounds, drops
+
+
+def _matches(raw, item, lo, hi):
+    """The indices j in lo..hi - 1, ascending, of the items of an array
+    with raw bytes ``raw`` that equal the item bytes ``item``: each is
+    found by ``bytes.find``, skipping matches that start inside an
+    item, so no item is compared as a Python int."""
+    size = len(item)
+    found = []
+    end = hi * size
+    j = raw.find(item, lo * size, end)
+    while j >= 0:
+        if j % size:
+            j = raw.find(item, j + size - j % size, end)
+        else:
+            found.append(j // size)
+            j = raw.find(item, j + size, end)
+    return found
 
 
 def _add_run(starts, lengths, lo, hi):
@@ -713,14 +749,23 @@ class StuckWitness:
 def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     """First stuck n-path in search order, or None.
 
-    One depth-first search from each start in vertex order or, with
+    The search order takes the starts in vertex order or, with
     ``anchor`` given, nearest the anchor first, so a path clogged around
-    it is found early.  The path is a list with an on-path flag per
-    vertex and one neighbour iterator per depth; every extension, of a
-    prefix or to a full n-path, is charged against ``budget``.  The
-    n-path ``path + [w]`` is stuck iff every neighbour of w is on the
-    path and is not its tail.  A simple n-path needs n + 1 distinct
+    it is found early, and the n-paths from each start in lexicographic
+    order.  Every extension, of a prefix or to a full n-path, is
+    charged against ``budget``.  A simple n-path needs n + 1 distinct
     vertices, so for n >= V there is none and no search is run.
+
+    A depth-first search from the first start (``_search_stuck``)
+    answers when that start has a stuck path.  Otherwise the rest of an
+    exhaustive search is read off the level chain: a stuck n-path is a
+    sink of the n-transfer digraph, a state whose block of moves is
+    empty (``_first_sink``).  Building levels 1..n is charged their
+    states, which are exactly the extensions of an exhaustive search,
+    so a chain within the budget gives the search's witness or None;
+    when the budget refuses the chain, the depth-first search resumes
+    from the second start with the first start's count and stops or
+    raises where the whole search would.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
@@ -733,8 +778,28 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
         starts = sorted(starts, key=lambda i: (dist[i], i))
     if n >= len(space.names):
         return None
-    on_path = bytearray(len(space.names))
-    count = 0
+    path, count = _search_stuck(adj, n, starts[:1], budget, 0)
+    if path is None:
+        try:
+            chain = _grow(space, n, budget)
+        except BudgetError:
+            path = _search_stuck(adj, n, starts[1:], budget, count)[0]
+        else:
+            path = _first_sink(chain, starts[1:])
+    return None if path is None else \
+        StuckWitness(path=space.decode(path), anchor=anchor)
+
+
+def _search_stuck(adj, n, starts, budget, count):
+    """Depth-first search for a stuck n-path from each of ``starts`` in
+    turn, ``count`` extensions already charged: the first one's vertex
+    indices, or None, and the extensions charged by then.
+
+    The path is a list with an on-path flag per vertex and one
+    neighbour iterator per depth.  The n-path ``path + [w]`` is stuck
+    iff every neighbour of w is on the path and is not its tail.
+    """
+    on_path = bytearray(len(adj))
     for s in starts:
         path = [s]
         on_path[s] = 1
@@ -755,11 +820,43 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
                     if not on_path[x] or x == s:
                         break
                 else:
-                    return StuckWitness(path=space.decode(path + [w]),
-                                        anchor=anchor)
+                    return path + [w], count
             else:
                 nexts.pop()
                 on_path[path.pop()] = 0
+    return None, count
+
+
+def _first_sink(level, starts):
+    """Vertex indices of the first state of ``level`` with no move,
+    taking its tail runs in the order of ``starts`` and each in index
+    order, or None.  A state is a sink iff the block of its suffix is
+    empty, so the dead ends (``_sizes`` 0) make a mask over suffixes,
+    and each tail run is scanned run by run (``_runs``) for a suffix in
+    it."""
+    sizes = level._sizes
+    dead_ends = _matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
+                         len(sizes))
+    if not dead_ends:
+        return None
+    dead = bytearray(len(sizes))
+    for b in dead_ends:
+        dead[b] = 1
+    tails = level._tail
+    run_starts, lengths = level._runs
+    pos = array("i", itertools.accumulate(lengths, initial=0))
+    for v in starts:
+        a = bisect_left(tails, v)
+        hi = bisect_left(tails, v + 1, a)
+        k = bisect_right(pos, a) - 1
+        while a < hi:
+            end = min(pos[k + 1], hi)
+            lo = run_starts[k] + a - pos[k]
+            c = dead.find(1, lo, lo + end - a)
+            if c >= 0:
+                return level._path(a + c - lo)
+            a = end
+            k += 1
     return None
 
 

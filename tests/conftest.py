@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import pytest
@@ -181,6 +182,55 @@ def moves_by_scan(space, p):
     """Heads of the legal moves from state tuple p, ascending: each
     neighbour of the head that is not an inner vertex of p."""
     return [w for w in space.adj[p[-1]] if w not in p[1:-1]]
+
+
+def stuck_by_dfs(space, n, start_order=None):
+    """The first stuck n-path of a depth-first search from each start in
+    turn, as a tuple of vertex indices (or None), and the extensions made
+    by then, prefixes included: each stack entry a fresh copy of its
+    path, each extension counted as it is popped.  The oracle for the
+    witness and the charge of ``find_stuck``."""
+    count = 0
+    starts = range(len(space.names)) if start_order is None else start_order
+    for s in starts:
+        stack = [(s,)]
+        while stack:
+            p = stack.pop()
+            count += len(p) > 1
+            if len(p) == n + 1:
+                if not moves_by_scan(space, p):
+                    return p, count
+                continue
+            for w in reversed(space.adj[p[-1]]):
+                if w not in p:
+                    stack.append(p + (w,))
+    return None, count
+
+
+def tail_moves_by_index(adj, level):
+    """The bounds of ``level``'s tail runs and, ascending, its states
+    whose tail neighbours their head, each found by ``array.index`` on
+    the heads, one Python int compared per state.  The oracle for
+    ``transferability._tail_moves``."""
+    tails, heads = level._tail, level._head
+    bounds = [0]
+    for v in range(len(adj)):
+        bounds.append(bisect_left(tails, v + 1, bounds[v]))
+    drops = []
+    for v, row in enumerate(adj):
+        hi = bounds[v + 1]
+        found = []
+        for u in row:
+            j = bounds[v]
+            try:
+                while True:
+                    j = heads.index(u, j, hi)
+                    found.append(j)
+                    j += 1
+            except ValueError:
+                pass
+        drops += sorted(found)
+    return bounds, drops
 
 
 def longest_path_bound(graph, budget=DEFAULT_BUDGET):

@@ -3,6 +3,7 @@
 import signal
 import sys
 import tracemalloc
+from array import array
 
 import networkx
 import pytest
@@ -15,7 +16,8 @@ from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
                                      TransferDigraph, _bfs_distances,
                                      _reach, _sources, _Space,
-                                     _tarjan, build_transfer_digraph,
+                                     _tail_moves, _tarjan,
+                                     build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
                                      transferability)
@@ -26,7 +28,7 @@ from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
                       petersen_graph, random_bipartite_graph,
                       random_connected_graph, reach_by_arcs,
                       scc_sizes_by_arcs, seeded_rng, sources_by_arcs,
-                      star_graph)
+                      star_graph, stuck_by_dfs, tail_moves_by_index)
 
 
 def naive_is_transferable(graph, n):
@@ -691,6 +693,89 @@ def test_stuck_search_charges_every_extension():
     assert witness.path.vertices[0] == anchor
     assert len(witness.path.vertices) == 14
     assert steps(th33, witness.path) == []
+
+
+def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
+        monkeypatch):
+    """Past the first start ``find_stuck`` reads the level chain, charged
+    every state of levels 1..n, and when the budget refuses the chain
+    the depth-first search resumes from the second start.  Where only a
+    later start has a stuck path, a budget of exactly the extensions a
+    depth-first search makes up to it returns the default witness, and
+    one less raises with that count.  The cases take every route: a
+    witness from the first start, one from the chain, a chain with none
+    and a refused chain."""
+    module = sys.modules[transferability.__module__]
+    grow, first_sink = module._grow, module._first_sink
+    routes, taken, later = [], set(), 0
+
+    def traced_grow(*args):
+        try:
+            return grow(*args)
+        except BudgetError:
+            routes.append("refused")
+            raise
+
+    def traced_sink(level, starts):
+        path = first_sink(level, starts)
+        routes.append("none" if path is None else "chain")
+        return path
+
+    def route(n, graph, budget=DEFAULT_BUDGET):
+        routes.clear()
+        witness = find_stuck(graph, n, budget=budget)
+        taken.add(routes[-1] if routes else "first")
+        return witness
+
+    monkeypatch.setattr(module, "_grow", traced_grow)
+    monkeypatch.setattr(module, "_first_sink", traced_sink)
+    for name, graph, _ in _random_cases():
+        space = _Space(graph)
+        for n in range(1, len(graph)):
+            witness = route(n, graph)
+            path, count = stuck_by_dfs(space, n)
+            assert witness == (None if path is None else
+                               StuckWitness(space.decode(path))), (name, n)
+            if path is None or path[0] == 0:
+                continue
+            later += 1
+            assert route(n, graph, budget=count) == witness, (name, n)
+            with pytest.raises(BudgetError) as info:
+                route(n, graph, budget=count - 1)
+            assert info.value.count == count, (name, n)
+            assert str(info.value) == (
+                "more than %d path extensions while enumerating directed "
+                "%d-paths; raise the budget to enumerate them"
+                % (count - 1, n)), (name, n)
+    assert taken == {"first", "chain", "none", "refused"}, taken
+    assert later > 0
+
+
+def test_tail_moves_match_the_index_scan():
+    """``_tail_moves`` finds the moves onto a tail by a byte search of
+    the heads' raw bytes and equals the ``array.index`` scan: on levels
+    1..13 of both cubic maps, on 64-bit heads past 65 536 vertices, and
+    on a level where heads 256 then 1 in tail run 0 hold the bytes of
+    257, a neighbour of vertex 0, across two 16-bit items."""
+    edges = ((0, 2), (0, 3), (0, 256), (0, 257), (2, 256), (1, 3))
+    graph = {v: [] for v in range(300)}
+    for u, w in edges:
+        graph[u].append(w)
+        graph[w].append(u)
+    level = build_transfer_digraph(graph, 2)
+    raw = level._head.tobytes()
+    assert level._head[:3] == array("H", [256, 1, 2])
+    assert raw.find(array("H", [257]).tobytes(), 0, 6) == 1
+    adj = level._space.adj
+    assert _tail_moves(adj, level) == tail_moves_by_index(adj, level)
+    assert _tail_moves(adj, level)[1][:2] == [0, 2]
+    levels = [build_transfer_digraph(path_graph(70000), 1)]
+    assert levels[0]._head.typecode == "l"
+    for rs in (truncate(hex_torus(3, 3)), truncate(hex_klein(3, 3))):
+        levels += build_transfer_digraph(rs.adjacency(), 13)._levels()
+    for level in levels:
+        adj = level._space.adj
+        assert _tail_moves(adj, level) == tail_moves_by_index(adj, level)
 
 
 def test_search_bound_is_the_longest_path():
