@@ -18,7 +18,11 @@ whose p[1:] are consecutive, the moves out of a run are one range of
 states, and so each run adds one array slice to each column of the next
 level, cut only where a move onto the tail is dropped.  A level thus
 has at most as many runs as the last one plus the moves it drops, and
-the per-state work of a build is array slicing.  Since
+the per-state work of a build is array slicing.  A level stores each
+fact once: per state only its head, per block its first state and its
+size, per run its first suffix and first state, and the V + 1 bounds of
+its tail runs; a state's suffix and tail are read off the runs and the
+bounds, and its path off its block's path and its head.  Since
 reversing every path turns the digraph into its converse, the sinks
 that trimming H sheds are the reverses of its sources, and two forward
 searches on what is left decide strong connectivity and count the
@@ -135,16 +139,6 @@ class _Space:
         self.adj = tuple(adj)
         # level arrays hold vertex indices as 16-bit ints when they fit
         self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
-        self._integers = array("i")
-
-    def integers(self, count):
-        """An array holding 0, 1, ... up to at least count - 1, grown in
-        place: every level built on this space slices its suffixes from
-        it."""
-        ints = self._integers
-        if len(ints) < count:
-            ints.extend(range(len(ints), count))
-        return ints
 
     def decode(self, state):
         return PathState(tuple(map(self.names.__getitem__, state)))
@@ -185,8 +179,8 @@ def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
     names = digraph._space.names
     paths = [(v,) for v in names]
     for level in digraph._levels():
-        paths = [(names[t],) + paths[s]
-                 for t, s in zip(level._tail, level._suffix)]
+        paths = [p + (names[h],)
+                 for p, h in zip(level._expand(paths), level._head)]
     return tuple(map(PathState, paths))
 
 
@@ -204,44 +198,48 @@ class TransferDigraph:
     ``state_at``/``index_of`` translate between indices and PathState.
     The n-paths are one level of a chain: ``_prev`` holds the
     (n - 1)-paths (None for n = 1, whose 0-paths are the vertices).
-    ``_tail`` and ``_head`` are each state's end vertices, ``_suffix``
-    is the index of each state's p[1:] among the (n - 1)-paths, and the
-    states whose first n vertices are the (n - 1)-path b form the block
-    ``range(_first[b], _first[b + 1])``.  So ``_first`` and ``_suffix``
-    are the offset/target arrays of H: a node per (n - 1)-path, an arc
-    per state.  H is the transfer digraph of the (n - 1)-paths less
-    their moves onto their own tails, which close an n-cycle;
+    A level stores each fact once.  Per state it keeps only ``_head``.
+    The states whose first n vertices are the (n - 1)-path b form the
+    block ``range(_first[b], _first[b + 1])``; ``_sizes``, the block
+    sizes in the vertex typecode, is ``_first``'s differences, kept
+    because ``_grow`` gathers it by slicing and ``_first_sink``
+    byte-searches it, where deriving it would cost a Python step per
+    state.  A state's suffix is the index of its p[1:] among the
+    (n - 1)-paths, so ``_first`` and the suffixes are the offset/target
+    arrays of H: a node per (n - 1)-path, an arc per state.  ``_runs``
+    holds the maximal runs of consecutive states with consecutive
+    suffixes as two arrays, each run's first suffix and its first state
+    (then the state count): one bisection of the latter gives a state's
+    suffix (``_suffixes``), and the moves out of a run are one range of
+    states.  The tails are sorted, and ``_bounds`` holds the V + 1
+    bounds of their runs: tail run v is ``range(_bounds[v],
+    _bounds[v + 1])``.  H is the transfer digraph of the (n - 1)-paths
+    less their moves onto their own tails, which close an n-cycle;
     ``_dropped`` counts those moves (None for the empty digraph of
-    n >= V, which is built from no level).  ``_sizes`` holds the block
-    sizes, ``_first``'s differences, in the vertex typecode.  ``_runs``
-    is a pair of arrays, the first suffix and the length of each
-    maximal run of consecutive states whose suffixes are consecutive:
-    the runs, each expanded, concatenate to ``_suffix``, and the moves
-    out of a run are one range of states.
+    n >= V, which is built from no level).
     """
 
-    def __init__(self, space, n, prev, tail, head, first, suffix, dropped,
-                 sizes, run_starts, run_lengths):
+    def __init__(self, space, n, prev, head, first, dropped, sizes, runs,
+                 bounds):
         self._space = space
         self.n = n
         self._prev = prev
-        self._tail = tail
         self._head = head
         self._first = first
-        self._suffix = suffix
         self._dropped = dropped
         self._sizes = sizes
-        self._runs = run_starts, run_lengths
+        self._runs = runs
+        self._bounds = bounds
 
     @property
     def state_count(self):
-        return len(self._tail)
+        return len(self._head)
 
     @property
     def arc_count(self):
-        first = self._first
-        return sum(first[s + length] - first[s]
-                   for s, length in zip(*self._runs))
+        first, (starts, offsets) = self._first, self._runs
+        return sum(first[s + hi - lo] - first[s]
+                   for s, lo, hi in zip(starts, offsets, offsets[1:]))
 
     def _levels(self):
         """The levels of the chain, one edge first and this one last."""
@@ -252,16 +250,22 @@ class TransferDigraph:
             level = level._prev
         return levels[::-1]
 
+    def _expand(self, items):
+        """``items`` of the blocks, one per state: each block's item
+        repeated by its size."""
+        return itertools.chain.from_iterable(
+            map(itertools.repeat, items, self._sizes))
+
     def _path(self, i):
-        """Vertex indices of state i: its tail, then its suffix's path."""
+        """Vertex indices of state i: its block's path, then its head."""
         path = []
         level = self
         while level is not None:
-            path.append(level._tail[i])
-            i = level._suffix[i]
+            path.append(level._head[i])
+            i = bisect_right(level._first, i) - 1
             level = level._prev
         path.append(i)
-        return path
+        return path[::-1]
 
     def _find(self, path):
         """Index of the state with vertex indices ``path`` (n + 1 of
@@ -277,24 +281,27 @@ class TransferDigraph:
 
     def _reverses(self, states):
         """The indices of the reverses of ``states``, all found in one
-        pass over the levels: the first reads each path's vertices a
-        level at a time, the second bisects a level's blocks for the
-        next vertex of every reversed path (the reverse of a state is
-        always a state, so each bisection finds it)."""
+        pass over the levels: the first reads each path's vertices head
+        first, a level at a time, by the block of each prefix, and the
+        second bisects a level's blocks for the next vertex of every
+        reversed path, which starts at the head (the reverse of a state
+        is always a state, so each bisection finds it)."""
         levels = self._levels()
         walks, ends = [], list(states)
         for level in reversed(levels):
-            tail, suffix = level._tail, level._suffix
-            walks.append([tail[i] for i in ends])
-            ends = [suffix[i] for i in ends]
-        for level, walk in zip(levels, reversed(walks)):
+            first, head = level._first, level._head
+            walks.append([head[i] for i in ends])
+            ends = [bisect_right(first, i) - 1 for i in ends]
+        walks.append(ends)
+        ends = walks[0]
+        for level, walk in zip(levels, walks[1:]):
             first, head = level._first, level._head
             ends = [bisect_left(head, v, first[i], first[i + 1])
                     for i, v in zip(ends, walk)]
         return ends
 
     def state_at(self, i):
-        return self._space.decode(self._path(i))
+        return self._space.decode(self._path(range(self.state_count)[i]))
 
     def index_of(self, path):
         space = self._space
@@ -306,7 +313,8 @@ class TransferDigraph:
         raise ValueError("%r is not a %d-path of this graph" % (path, self.n))
 
     def successors_of(self, i):
-        b = self._suffix[i]
+        i = range(self.state_count)[i]
+        b = next(_suffixes(self._runs, i, i + 1)).start
         return range(self._first[b], self._first[b + 1])
 
     def scc_summary(self):
@@ -324,11 +332,11 @@ class TransferDigraph:
         component iff forward searches from a core node x and from
         rev(x), kept to arcs into the core, reach all of it; then its
         arcs are one more component.
-        Trimming and both searches work on ``_runs`` and read ``_first``
-        and ``_suffix`` as arrays: the in-degrees are prefix sums over the
-        runs, and a search visits intervals of nodes, whose arcs the runs
-        cut into intervals of suffixes.  Only a core that splits goes
-        through Tarjan, on per-state lists.
+        Trimming and both searches work on ``_runs`` and ``_first``: the
+        in-degrees are prefix sums over the runs, and a source's block
+        and a search's interval of nodes have arcs that the runs cut into
+        intervals of suffixes.  Only a core that splits goes through
+        Tarjan, on per-state lists.
 
         The first search proves half of that by reversal: if x reaches
         every core node rev(y), reversing the path shows that y reaches
@@ -338,8 +346,8 @@ class TransferDigraph:
         the core ever leaves rev(x) short of it is open; until a proof
         that it cannot, both searches run.
         """
-        first, suffix, runs = self._first, self._suffix, self._runs
-        sources = _sources(first, suffix, runs)
+        first, runs = self._first, self._runs
+        sources = _sources(first, runs)
         prev = self._prev
 
         def rev(nodes):
@@ -353,15 +361,17 @@ class TransferDigraph:
         # reversed, run from a source into the core
         cut = sum(first[b + 1] - first[b] for b in
                   itertools.compress(range(len(trim)), trim))
-        cut += sum(not trim[c] for b in sources
-                   for c in suffix[first[b]:first[b + 1]])
-        x, core, states = trim.find(0), trim.count(0), len(suffix)
+        cut += sum(trim.count(0, r.start, r.stop) for b in sources
+                   for r in _suffixes(runs, first[b], first[b + 1]))
+        x, core, states = trim.find(0), trim.count(0), self.state_count
         if x < 0 or _reach(first, runs, trim, x) == core == \
                 _reach(first, runs, trim, rev([x])[0]):
             # with no core every arc has a trimmed end: cut == states
             sizes = (states - cut,) * (x >= 0) + (1,) * cut
         else:
-            first, suffix = first.tolist(), suffix.tolist()
+            first = first.tolist()
+            suffix = list(itertools.chain.from_iterable(
+                _suffixes(runs, 0, states)))
             label = _tarjan(len(trim), first, suffix)
             heads = [label[c] for c in suffix]
             inner = [0] * len(trim)
@@ -392,26 +402,43 @@ class TransferDigraph:
                  for v in self._space.names]
         labels = names
         for level in self._levels():
-            labels = [names[t] + "," + labels[s]
-                      for t, s in zip(level._tail, level._suffix)]
+            labels = [label + "," + names[h]
+                      for label, h in zip(level._expand(labels), level._head)]
         yield "digraph transfer {\n"
         for label in labels:
             yield '  "%s";\n' % label
-        for i, label in enumerate(labels):
-            for j in self.successors_of(i):
+        first = self._first
+        suffixes = itertools.chain.from_iterable(
+            _suffixes(self._runs, 0, len(labels)))
+        for label, b in zip(labels, suffixes):
+            for j in range(first[b], first[b + 1]):
                 yield '  "%s" -> "%s";\n' % (label, labels[j])
         yield "}\n"
 
 
-def _sources(first, suffix, runs):
+def _suffixes(runs, a, b):
+    """The suffixes of states a..b - 1, in order, as one range per run
+    they meet: one bisection finds the run of state a."""
+    starts, offsets = runs
+    r = bisect_right(offsets, a) - 1
+    while a < b:
+        end = min(offsets[r + 1], b)
+        s = starts[r] + a - offsets[r]
+        yield range(s, s + end - a)
+        a = end
+        r += 1
+
+
+def _sources(first, runs):
     """The in-degree-0 cascade of H, in the order it is trimmed.  A run
     covers each of its suffixes once, so the in-degrees are the prefix
     sums of +1 at each run's first suffix and -1 past its last; the
     sentinel past the last node stays 0 and stops the scan for zeros."""
+    starts, offsets = runs
     indegree = [0] * len(first)
-    for s, length in zip(*runs):
+    for s, lo, hi in zip(starts, offsets, offsets[1:]):
         indegree[s] += 1
-        indegree[s + length] -= 1
+        indegree[s + hi - lo] -= 1
     indegree = list(itertools.accumulate(indegree))
     sources = []
     b = indegree.index(0)
@@ -419,10 +446,11 @@ def _sources(first, suffix, runs):
         sources.append(b)
         b = indegree.index(0, b + 1)
     for b in sources:
-        for c in suffix[first[b]:first[b + 1]]:
-            indegree[c] -= 1
-            if not indegree[c]:
-                sources.append(c)
+        for r in _suffixes(runs, first[b], first[b + 1]):
+            for c in r:
+                indegree[c] -= 1
+                if not indegree[c]:
+                    sources.append(c)
     return sources
 
 
@@ -436,8 +464,7 @@ def _reach(first, runs, trim, x):
     the next round.  Each round sorts its intervals and merges those
     that abut, so it meets the runs in order: the bisection for an
     interval's first run starts at the last interval's last run."""
-    starts, lengths = runs
-    pos = array("i", itertools.accumulate(lengths, initial=0))
+    starts, offsets = runs
     seen = bytearray(trim)
     seen[x] = 1
     ones = memoryview(b"\1" * len(seen))
@@ -448,12 +475,12 @@ def _reach(first, runs, trim, x):
         k = 0
         for lo, hi in frontier:
             a, b = first[lo], first[hi]
-            k = bisect_right(pos, a, k) - 1
+            k = bisect_right(offsets, a, k) - 1
             while a < b:
-                end = pos[k + 1]
+                end = offsets[k + 1]
                 if end > b:
                     end = b
-                c1 = starts[k] + end - pos[k]
+                c1 = starts[k] + end - offsets[k]
                 c = seen.find(0, c1 - end + a, c1)
                 while c >= 0:
                     e = seen.find(1, c, c1)
@@ -543,21 +570,23 @@ def _grow(space, n, budget, digraph=None):
 
     A level is built from the runs of the last one (``_runs``): the
     moves out of a run with suffixes s..s + L - 1 are the states
-    ``range(_first[s], _first[s + L])``, so each run adds a slice of
-    the space's consecutive integers to the new suffixes, a slice of
-    the last heads to the new heads and ``_sizes[s:s + L]`` to the new
-    block sizes.  The slice is cut at each dropped move, so the new
-    level has at most as many runs as the last one plus the moves it
-    drops.  The dropped moves are found by scanning each tail run's
-    heads for the tail's neighbours, and each one's target inside its
-    block: per level the Python work is O(runs + drops + V * deg), and
-    the per-state work is array slicing.
+    ``range(_first[s], _first[s + L])``, so each run adds that range to
+    the new runs, a slice of the last heads to the new heads and
+    ``_sizes[s:s + L]`` to the new block sizes.  The range is cut at
+    each dropped move, so the new level has at most as many runs as the
+    last one plus the moves it drops.  The dropped moves are found by
+    scanning each tail run's heads for the tail's neighbours, and each
+    one's target inside its block.  Tail run v of the new level is the
+    blocks of the last one's, so its bounds are the new ``_first`` at
+    the last bounds.  Per level the Python work is O(runs + drops +
+    V * deg), and the per-state work is array slicing.
     """
     adj, code = space.adj, space.typecode
     if n >= len(space.names):
-        return TransferDigraph(space, n, None, array(code), array(code),
-                               array("i", [0]), array("i"), None,
-                               array(code), array("i"), array("i"))
+        return TransferDigraph(space, n, None, array(code), array("i", [0]),
+                               None, array(code),
+                               (array("i"), array("i", [0])),
+                               array("i", [0]) * (len(adj) + 1))
     spent = sum(level.state_count for level in digraph._levels()) \
         if digraph else 0
     while digraph is None or digraph.n < n:
@@ -565,63 +594,52 @@ def _grow(space, n, budget, digraph=None):
             bounds, drops = range(len(adj) + 1), []
             spent += sum(map(len, adj))
         else:
-            bounds, drops = _tail_moves(adj, digraph)
+            bounds, drops = digraph._bounds, _tail_moves(adj, digraph)
             spent += digraph.arc_count - len(drops)
         if spent > budget:
             raise _budget_error(budget, n)
-        starts, lengths = array("i"), array("i")
+        starts, offsets = array("i"), array("i", [0])
         if digraph is None:  # a 1-path's p[1:] is its head vertex
-            suffix = array("i", itertools.chain.from_iterable(adj))
-            head = array(code, suffix)
+            head = array(code, itertools.chain.from_iterable(adj))
             sizes = array(code, map(len, adj))
-            for k in suffix:
-                _add_run(starts, lengths, k, k + 1)
+            for k in head:
+                _add_run(starts, offsets, k, k + 1)
         else:
-            tails, first = digraph._tail, digraph._first
+            first, heads = digraph._first, digraph._head
+            run_starts, run_offsets = digraph._runs
             sizes = array(code)
-            end = d = 0
-            for s, length in zip(*digraph._runs):
-                sizes += digraph._sizes[s:s + length]
+            d = 0
+            for s, start, end in zip(run_starts, run_offsets,
+                                     run_offsets[1:]):
+                sizes += digraph._sizes[s:s + end - start]
                 lo = first[s]
-                start, end = end, end + length
                 # cut the run's moves at each move onto a tail
                 while d < len(drops) and drops[d] < end:
                     j = drops[d]
                     sizes[j] -= 1
                     b = s + j - start
-                    k = digraph._head.index(tails[j], first[b], first[b + 1])
-                    _add_run(starts, lengths, lo, k)
+                    k = heads.index(bisect_right(bounds, j) - 1,
+                                    first[b], first[b + 1])
+                    _add_run(starts, offsets, lo, k)
                     lo = k + 1
                     d += 1
-                _add_run(starts, lengths, lo, first[s + length])
-            ints = space.integers(len(tails))
-            suffix, head = array("i"), array(code)
-            for s, length in zip(starts, lengths):
-                suffix += ints[s:s + length]
-                head += digraph._head[s:s + length]
-        offsets = array("i", itertools.accumulate(sizes, initial=0))
-        # the states are in lexicographic order, so their tails are
-        # sorted and the new tails are V runs: run v extends the states
-        # of tail run v
-        tail = array(code)
-        for v in range(len(adj)):
-            tail += array(code, [v]) * (offsets[bounds[v + 1]]
-                                        - offsets[bounds[v]])
+                _add_run(starts, offsets, lo, first[s + end - start])
+            head = array(code)
+            for s, lo, hi in zip(starts, offsets, offsets[1:]):
+                head += heads[s:s + hi - lo]
+        blocks = array("i", itertools.accumulate(sizes, initial=0))
         digraph = TransferDigraph(
-            space, digraph.n + 1 if digraph else 1, digraph, tail, head,
-            offsets, suffix, len(drops), sizes, starts, lengths)
+            space, digraph.n + 1 if digraph else 1, digraph, head, blocks,
+            len(drops), sizes, (starts, offsets),
+            array("i", map(blocks.__getitem__, bounds)))
     return digraph
 
 
 def _tail_moves(adj, level):
-    """The bounds of ``level``'s tail runs (tail run v is the states
-    ``range(bounds[v], bounds[v + 1])``) and, ascending, its states
-    with a move onto their own tail: those whose tail neighbours their
-    head, found by a byte search of each tail run's heads."""
-    tails, heads = level._tail, level._head
-    bounds = [0]
-    for v in range(len(adj)):
-        bounds.append(bisect_left(tails, v + 1, bounds[v]))
+    """Ascending, the states of ``level`` with a move onto their own
+    tail: those whose tail neighbours their head, found by a byte search
+    of each tail run's heads."""
+    bounds, heads = level._bounds, level._head
     raw = heads.tobytes()
     drops = []
     for v, row in enumerate(adj):
@@ -630,7 +648,7 @@ def _tail_moves(adj, level):
             found += _matches(raw, array(heads.typecode, [u]).tobytes(),
                               bounds[v], bounds[v + 1])
         drops += sorted(found)
-    return bounds, drops
+    return drops
 
 
 def _matches(raw, item, lo, hi):
@@ -651,15 +669,15 @@ def _matches(raw, item, lo, hi):
     return found
 
 
-def _add_run(starts, lengths, lo, hi):
+def _add_run(starts, offsets, lo, hi):
     """Append the suffixes lo..hi - 1 to the runs, extending the last
     run when it ends at lo, so that every run is maximal."""
     if lo < hi:
-        if starts and starts[-1] + lengths[-1] == lo:
-            lengths[-1] += hi - lo
+        if starts and starts[-1] + offsets[-1] - offsets[-2] == lo:
+            offsets[-1] += hi - lo
         else:
             starts.append(lo)
-            lengths.append(hi - lo)
+            offsets.append(offsets[-1] + hi - lo)
 
 
 @dataclass(frozen=True)
@@ -829,11 +847,11 @@ def _search_stuck(adj, n, starts, budget, count):
 
 def _first_sink(level, starts):
     """Vertex indices of the first state of ``level`` with no move,
-    taking its tail runs in the order of ``starts`` and each in index
-    order, or None.  A state is a sink iff the block of its suffix is
-    empty, so the dead ends (``_sizes`` 0) make a mask over suffixes,
-    and each tail run is scanned run by run (``_runs``) for a suffix in
-    it."""
+    taking its tail runs (``_bounds``) in the order of ``starts`` and
+    each in index order, or None.  A state is a sink iff the block of
+    its suffix is empty, so the dead ends (``_sizes`` 0) make a mask over
+    suffixes, and each tail run is scanned, one interval of suffixes per
+    run it meets, for a suffix in it."""
     sizes = level._sizes
     dead_ends = _matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
                          len(sizes))
@@ -842,21 +860,14 @@ def _first_sink(level, starts):
     dead = bytearray(len(sizes))
     for b in dead_ends:
         dead[b] = 1
-    tails = level._tail
-    run_starts, lengths = level._runs
-    pos = array("i", itertools.accumulate(lengths, initial=0))
+    bounds = level._bounds
     for v in starts:
-        a = bisect_left(tails, v)
-        hi = bisect_left(tails, v + 1, a)
-        k = bisect_right(pos, a) - 1
-        while a < hi:
-            end = min(pos[k + 1], hi)
-            lo = run_starts[k] + a - pos[k]
-            c = dead.find(1, lo, lo + end - a)
+        a = bounds[v]
+        for r in _suffixes(level._runs, a, bounds[v + 1]):
+            c = dead.find(1, r.start, r.stop)
             if c >= 0:
-                return level._path(a + c - lo)
-            a = end
-            k += 1
+                return level._path(a + c - r.start)
+            a += len(r)
     return None
 
 

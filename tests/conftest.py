@@ -208,14 +208,16 @@ def stuck_by_dfs(space, n, start_order=None):
 
 
 def tail_moves_by_index(adj, level):
-    """The bounds of ``level``'s tail runs and, ascending, its states
-    whose tail neighbours their head, each found by ``array.index`` on
-    the heads, one Python int compared per state.  The oracle for
-    ``transferability._tail_moves``."""
-    tails, heads = level._tail, level._head
-    bounds = [0]
-    for v in range(len(adj)):
-        bounds.append(bisect_left(tails, v + 1, bounds[v]))
+    """The bounds of ``level``'s tail runs, each found by bisecting the
+    states on ``state_at(i).tail``, and, ascending, its states whose
+    tail neighbours their head, each found by ``array.index`` on the
+    heads, one Python int compared per state.  The oracle for
+    ``_bounds`` and ``transferability._tail_moves``."""
+    index, heads = level._space.index, level._head
+    states = range(level.state_count)
+    bounds = [bisect_left(states, v,
+                          key=lambda i: index[level.state_at(i).tail])
+              for v in range(len(adj) + 1)]
     drops = []
     for v, row in enumerate(adj):
         hi = bounds[v + 1]
@@ -231,6 +233,31 @@ def tail_moves_by_index(adj, level):
                 pass
         drops += sorted(found)
     return bounds, drops
+
+
+def suffixes_by_search(digraph):
+    """Each state's suffix, the index of its p[1:] among the
+    (n - 1)-paths, at every level of ``digraph``'s chain, one list per
+    level: found as ``index_of`` finds a path, by bisecting the blocks
+    (``_first``) of ``_head`` for the next vertex, and made level by
+    level.  A state in block b with head h has as p[1:] the state with
+    head h in the block of b's own suffix, so each state costs one
+    bisection.  The oracle for the suffixes that ``TransferDigraph``
+    reads off its runs."""
+    levels, last = [], None
+    for level in digraph._levels():
+        first, head = level._first, level._head
+        if last is None:  # a 1-path's p[1:] is its head vertex
+            levels.append(list(head))
+        else:
+            prev_first, prev_head = last._first, last._head
+            levels.append([
+                bisect_left(prev_head, head[i], prev_first[c],
+                            prev_first[c + 1])
+                for b, c in enumerate(levels[-1])
+                for i in range(first[b], first[b + 1])])
+        last = level
+    return levels
 
 
 def longest_path_bound(graph, budget=DEFAULT_BUDGET):

@@ -28,7 +28,8 @@ from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
                       petersen_graph, random_bipartite_graph,
                       random_connected_graph, reach_by_arcs,
                       scc_sizes_by_arcs, seeded_rng, sources_by_arcs,
-                      star_graph, stuck_by_dfs, tail_moves_by_index)
+                      star_graph, stuck_by_dfs, suffixes_by_search,
+                      tail_moves_by_index)
 
 
 def naive_is_transferable(graph, n):
@@ -221,19 +222,33 @@ def test_levels_match_the_block_digraph_of_one_path_search():
 
 
 def test_runs_are_the_maximal_runs_of_consecutive_suffixes():
-    """At every level of every oracle case the runs, each expanded,
-    concatenate to ``_suffix``; each run is nonempty and no run starts
-    where the last one ends, so each is maximal; and a level has at most
-    as many runs as the last one plus the moves it drops.  On the
-    truncated hexagonal torus the runs stay few while its levels grow to
-    160 920 states."""
+    """At every level of every oracle case the runs' offsets run from 0
+    to the state count, and the runs, each expanded, concatenate to the
+    suffixes found by searching the blocks (``suffixes_by_search``,
+    which on the random graphs and trees equals ``index_of`` of each
+    state's p[1:]); each run is nonempty and no run starts where the
+    last one ends, so each is maximal; and a level has at most as many
+    runs as the last one plus the moves it drops.  On the truncated
+    hexagonal torus the runs stay few while its levels grow to 160 920
+    states."""
     for name, graph, ns in _oracle_cases():
         last = None
-        for level in build_transfer_digraph(graph, max(ns))._levels():
-            starts, lengths = level._runs
+        digraph = build_transfer_digraph(graph, max(ns))
+        for level, suffix in zip(digraph._levels(),
+                                 suffixes_by_search(digraph)):
+            starts, offsets = level._runs
+            lengths = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+            assert (offsets[0], offsets[-1]) == (0, level.state_count), \
+                (name, level.n)
             assert [k for s, length in zip(starts, lengths)
-                    for k in range(s, s + length)] == \
-                level._suffix.tolist(), (name, level.n)
+                    for k in range(s, s + length)] == suffix, \
+                (name, level.n)
+            if name.startswith(("random", "tree")):
+                prev, index = level._prev, level._space.index
+                assert suffix == [
+                    index[level.state_at(i).head] if prev is None else
+                    prev.index_of(PathState(level.state_at(i).vertices[1:]))
+                    for i in range(level.state_count)], (name, level.n)
             assert 0 not in lengths, (name, level.n)
             assert all(s + length != t for s, length, t in
                        zip(starts, lengths, starts[1:])), (name, level.n)
@@ -413,7 +428,7 @@ def test_sink_cascade_is_the_reverse_of_the_source_cascade():
     for trial, graph in enumerate(_verdict_cases()):
         for n in range(1, len(graph)):
             dg = build_transfer_digraph(graph, n)
-            first, suffix = dg._first.tolist(), dg._suffix.tolist()
+            first, suffix = dg._first.tolist(), suffixes_by_search(dg)[-1]
             nodes = range(len(first) - 1)
             into = [[] for b in nodes]
             for b in nodes:
@@ -430,7 +445,7 @@ def test_sink_cascade_is_the_reverse_of_the_source_cascade():
             reversed_sources = [
                 b if prev is None else
                 prev.index_of(prev.state_at(b).reverse())
-                for b in _sources(dg._first, dg._suffix, dg._runs)]
+                for b in _sources(dg._first, dg._runs)]
             assert sorted(sinks) == sorted(reversed_sources), (trial, n)
             trimmed += len(sinks)
     assert trimmed > 0
@@ -457,8 +472,8 @@ def test_trimming_and_reach_match_the_per_state_oracle():
     for graph, ns in _trim_cases():
         for n in ns:
             dg = build_transfer_digraph(graph, n)
-            first, suffix = dg._first.tolist(), dg._suffix.tolist()
-            sources = _sources(dg._first, dg._suffix, dg._runs)
+            first, suffix = dg._first.tolist(), suffixes_by_search(dg)[-1]
+            sources = _sources(dg._first, dg._runs)
             assert sources == sources_by_arcs(first, suffix), (graph, n)
             prev = dg._prev
 
@@ -484,9 +499,12 @@ def test_trimming_and_reach_match_the_per_state_oracle():
 
 
 def test_scc_summary_peaks_little_above_the_chain():
-    """At n = 13 on truncate(hex_torus(3,3)) counting the components
-    allocates less than 3 MiB above the 160 920-state chain it reads:
-    no per-state list is built when the core is one component."""
+    """At n = 13 on truncate(hex_torus(3,3)) the chain holds less than
+    8 bytes per state of levels 1..13 (374 814 states): per state a
+    level keeps only its head, and reads suffixes and tails off its runs
+    and tail-run bounds.  Counting the components allocates less than
+    3 MiB above that chain: no per-state list is built when the core is
+    one component."""
     graph = truncate(hex_torus(3, 3)).adjacency()
     tracemalloc.start()
     try:
@@ -497,6 +515,9 @@ def test_scc_summary_peaks_little_above_the_chain():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    states = sum(level.state_count for level in dg._levels())
+    assert states == 374_814
+    assert chain < 8 * states, chain / states
     assert summary.count == 865
     assert peak - chain < 3 << 20, (peak - chain) / (1 << 20)
 
@@ -577,6 +598,27 @@ def test_digraph_round_trip():
         assert dg.index_of(s) == i
         succ = {dg.state_at(j).vertices for j in dg.successors_of(i)}
         assert succ == {t.vertices for t in steps(complete_graph(4), s)}
+
+
+def test_state_indices_behave_like_a_sequence():
+    """``state_at`` and ``successors_of`` take an index as a sequence
+    does: -k means state_count - k, and an index past either end raises
+    IndexError, at n = 1, on levels of several runs, and on the empty
+    digraph of n = V."""
+    cases = ((complete_graph(4), 1), (petersen_graph(), 3),
+             (cycle_graph(300), 2), (cycle_graph(5), 5))
+    for graph, n in cases:
+        dg = build_transfer_digraph(graph, n)
+        count = dg.state_count
+        for k in range(1, min(count, 3) + 1):
+            assert dg.state_at(-k) == dg.state_at(count - k), (n, k)
+            assert dg.successors_of(-k) == dg.successors_of(count - k), \
+                (n, k)
+        for i in (count, count + 1, -count - 1):
+            with pytest.raises(IndexError):
+                dg.state_at(i)
+            with pytest.raises(IndexError):
+                dg.successors_of(i)
 
 
 @pytest.mark.parametrize("name,graph,max_n,value", [
@@ -767,15 +809,17 @@ def test_tail_moves_match_the_index_scan():
     assert level._head[:3] == array("H", [256, 1, 2])
     assert raw.find(array("H", [257]).tobytes(), 0, 6) == 1
     adj = level._space.adj
-    assert _tail_moves(adj, level) == tail_moves_by_index(adj, level)
-    assert _tail_moves(adj, level)[1][:2] == [0, 2]
+    assert (level._bounds.tolist(), _tail_moves(adj, level)) == \
+        tail_moves_by_index(adj, level)
+    assert _tail_moves(adj, level)[:2] == [0, 2]
     levels = [build_transfer_digraph(path_graph(70000), 1)]
     assert levels[0]._head.typecode == "l"
     for rs in (truncate(hex_torus(3, 3)), truncate(hex_klein(3, 3))):
         levels += build_transfer_digraph(rs.adjacency(), 13)._levels()
     for level in levels:
         adj = level._space.adj
-        assert _tail_moves(adj, level) == tail_moves_by_index(adj, level)
+        assert (level._bounds.tolist(), _tail_moves(adj, level)) == \
+            tail_moves_by_index(adj, level)
 
 
 def test_search_bound_is_the_longest_path():
