@@ -7,12 +7,14 @@ fails (not polyhedral, not transferable, no stuck path, audit
 contradiction), 2 malformed input or parameters, 3 path-extension
 budget exceeded, 4 internal error (a cross-check inside polymap
 contradicted itself, a bug in this package), reported as one line on
-stderr.
+stderr, and 141 (128 + SIGPIPE) when stdout closes before the output
+is written, as in ``polymap export-digraph FILE --n 10 | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .curvature_light import scan_theorem2
@@ -47,7 +49,16 @@ def main(argv=None):
     if getattr(args, "max_n", None) is not None and not args.sweep:
         parser.error("argument --max-n: only allowed with argument --sweep")
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (MapFormatError, StructureError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

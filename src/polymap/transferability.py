@@ -51,6 +51,7 @@ and parallel edges are meaningless here, so only simple graphs apply.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -176,12 +177,8 @@ def steps(graph, path):
 def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
     """Every directed simple path with ``n`` edges, lexicographic order."""
     digraph = build_transfer_digraph(graph, n, budget)
-    names = digraph._space.names
-    paths = [(v,) for v in names]
-    for level in digraph._levels():
-        paths = [p + (names[h],)
-                 for p, h in zip(level._expand(paths), level._head)]
-    return tuple(map(PathState, paths))
+    paths = [(v,) for v in digraph._space.names]
+    return tuple(map(PathState, digraph._labels(paths, paths)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,9 @@ class SccSummary:
 class TransferDigraph:
     """All directed n-paths of a graph, at lexicographic indices.
 
-    ``state_at``/``index_of`` translate between indices and PathState.
+    ``state_at``/``index_of`` translate between indices and PathState
+    through the two chain readers: ``_walks`` reads the vertices of
+    states off the levels and ``_find`` finds states by their vertices.
     The n-paths are one level of a chain: ``_prev`` holds the
     (n - 1)-paths (None for n = 1, whose 0-paths are the vertices).
     A level stores each fact once.  Per state it keeps only ``_head``.
@@ -250,66 +249,54 @@ class TransferDigraph:
             level = level._prev
         return levels[::-1]
 
-    def _expand(self, items):
-        """``items`` of the blocks, one per state: each block's item
-        repeated by its size."""
-        return itertools.chain.from_iterable(
-            map(itertools.repeat, items, self._sizes))
-
-    def _path(self, i):
-        """Vertex indices of state i: its block's path, then its head."""
-        path = []
-        level = self
-        while level is not None:
-            path.append(level._head[i])
-            i = bisect_right(level._first, i) - 1
-            level = level._prev
-        path.append(i)
-        return path[::-1]
-
-    def _find(self, path):
-        """Index of the state with vertex indices ``path`` (n + 1 of
-        them), or -1: each level bisects the block of the prefix found so
-        far for the next vertex."""
-        i = path[0]
-        for level, v in zip(self._levels(), path[1:]):
-            lo, hi = level._first[i], level._first[i + 1]
-            i = bisect_left(level._head, v, lo, hi)
-            if i == hi or level._head[i] != v:
-                return -1
-        return i
-
-    def _reverses(self, states):
-        """The indices of the reverses of ``states``, all found in one
-        pass over the levels: the first reads each path's vertices head
-        first, a level at a time, by the block of each prefix, and the
-        second bisects a level's blocks for the next vertex of every
-        reversed path, which starts at the head (the reverse of a state
-        is always a state, so each bisection finds it)."""
-        levels = self._levels()
-        walks, ends = [], list(states)
-        for level in reversed(levels):
+    def _walks(self, states):
+        """The vertex indices of ``states`` as n + 1 lists, tail first:
+        list k holds each state's vertex k.  Each level reads the heads
+        of the states, then bisects its blocks for their prefixes."""
+        walks = []
+        for level in reversed(self._levels()):
             first, head = level._first, level._head
-            walks.append([head[i] for i in ends])
-            ends = [bisect_right(first, i) - 1 for i in ends]
-        walks.append(ends)
-        ends = walks[0]
-        for level, walk in zip(levels, walks[1:]):
+            walks.append([head[i] for i in states])
+            states = [bisect_right(first, i) - 1 for i in states]
+        walks.append(states)
+        return walks[::-1]
+
+    def _find(self, walks):
+        """The indices of the states whose vertex indices are ``walks``,
+        laid out as ``_walks`` returns them: each level bisects the block
+        of each prefix found so far for its next vertex.  Every walk must
+        be a path of the graph with n edges, which is always a state."""
+        states = walks[0]
+        for level, walk in zip(self._levels(), walks[1:]):
             first, head = level._first, level._head
-            ends = [bisect_left(head, v, first[i], first[i + 1])
-                    for i, v in zip(ends, walk)]
-        return ends
+            states = [bisect_left(head, v, first[i], first[i + 1])
+                      for i, v in zip(states, walk)]
+        return states
+
+    def _labels(self, labels, ends):
+        """One label per state, in index order, from one per vertex:
+        each level adds ``ends[h]`` for its head h to its block's label,
+        repeated by the block's size."""
+        for level in self._levels():
+            labels = list(map(operator.add, itertools.chain.from_iterable(
+                map(itertools.repeat, labels, level._sizes)),
+                map(ends.__getitem__, level._head)))
+        return labels
 
     def state_at(self, i):
-        return self._space.decode(self._path(range(self.state_count)[i]))
+        walks = self._walks([range(self.state_count)[i]])
+        return self._space.decode([walk[0] for walk in walks])
 
     def index_of(self, path):
         space = self._space
-        if len(path.vertices) == self.n + 1 and \
-                all(v in space.index for v in path.vertices):
-            i = self._find([space.index[v] for v in path.vertices])
-            if i >= 0:
-                return i
+        try:
+            space.check_path(path)
+        except StructureError:
+            pass
+        else:
+            if path.length == self.n:
+                return self._find([[space.index[v]]
+                                   for v in path.vertices])[0]
         raise ValueError("%r is not a %d-path of this graph" % (path, self.n))
 
     def successors_of(self, i):
@@ -326,7 +313,8 @@ class TransferDigraph:
         every path maps H onto its converse, so the out-degree-0 cascade
         is its image under reversal (the identity for n = 1, whose nodes
         are vertices) and no reverse arc is needed; the sources are
-        reversed all together, level by level (``_reverses``).  Each
+        reversed all together, level by level: their paths are read
+        (``_walks``) and found again in reverse order (``_find``).  Each
         trimmed node is a component of H alone, so each arc with a
         trimmed end is one component.  What is left, the core, is one
         component iff forward searches from a core node x and from
@@ -351,7 +339,8 @@ class TransferDigraph:
         prev = self._prev
 
         def rev(nodes):
-            return nodes if prev is None else prev._reverses(nodes)
+            return nodes if prev is None else \
+                prev._find(prev._walks(nodes)[::-1])
 
         trim = bytearray(len(first) - 1)
         for b in itertools.chain(sources, rev(sources)):
@@ -400,10 +389,7 @@ class TransferDigraph:
         """The lines of ``to_dot()``, newline included, one at a time."""
         names = [str(v).replace("\\", "\\\\").replace('"', '\\"')
                  for v in self._space.names]
-        labels = names
-        for level in self._levels():
-            labels = [label + "," + names[h]
-                      for label, h in zip(level._expand(labels), level._head)]
+        labels = self._labels(names, ["," + name for name in names])
         yield "digraph transfer {\n"
         for label in labels:
             yield '  "%s";\n' % label
@@ -866,7 +852,7 @@ def _first_sink(level, starts):
         for r in _suffixes(level._runs, a, bounds[v + 1]):
             c = dead.find(1, r.start, r.stop)
             if c >= 0:
-                return level._path(a + c - r.start)
+                return [walk[0] for walk in level._walks([a + c - r.start])]
             a += len(r)
     return None
 

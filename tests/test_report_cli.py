@@ -1,12 +1,18 @@
 """Report rendering and the command-line interface, end to end."""
 
+import doctest
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polymap
 import polymap.curvature_light
 import polymap.report
 import polymap.validity
@@ -419,6 +425,41 @@ def test_export_digraph_is_byte_identical(capsys, monkeypatch, tmp_path,
                            ["export-digraph", str(path), "--n", str(n)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_export_digraph_exits_141_when_stdout_closes_early(tmp_path):
+    """``export-digraph FILE --n 10 | head -1``: the reader takes the
+    first line and closes the pipe, and polymap exits 141 (128 +
+    SIGPIPE) with nothing on stderr, no traceback."""
+    path = tmp_path / "th33.map"
+    path.write_text(serialize_map(truncate(hex_torus(3, 3))),
+                    encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(polymap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+            [sys.executable, "-m", "polymap", "export-digraph", str(path),
+             "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"digraph transfer {\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_readme_python_example_runs():
+    """The README's ``python`` block passes as a doctest.  Only that
+    block is parsed: over the whole file, its closing fence would read
+    as part of the expected output."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    head, _, rest = readme.read_text(encoding="utf-8").partition(
+        "```python\n")
+    test = doctest.DocTestParser().get_doctest(
+        rest.split("```", 1)[0], {}, "README", str(readme),
+        head.count("\n") + 1)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted == len(test.examples) > 0
+    assert result.failed == 0, "".join(report)
 
 
 def test_internal_contradiction_exits_4(capsys, monkeypatch, tmp_path):

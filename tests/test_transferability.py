@@ -1,5 +1,6 @@
 """Path states, transfer moves, the transfer digraph, and stuck paths."""
 
+import itertools
 import signal
 import sys
 import tracemalloc
@@ -619,6 +620,34 @@ def test_state_indices_behave_like_a_sequence():
                 dg.state_at(i)
             with pytest.raises(IndexError):
                 dg.successors_of(i)
+
+
+def test_chain_readers_match_the_copying_oracle():
+    """``_walks`` reads every state's vertices, ``_find`` finds each
+    state and each state's reverse at the copying oracle's index, and
+    ``_labels`` gives the oracle's paths in ``enumerate_paths`` and the
+    DOT state lines: on the random graphs at every n up to V (the empty
+    digraph of n = V included) and on both cubic maps at n = 12."""
+    cases = [(name, graph, n) for name, graph, _ in _random_cases()
+             for n in range(1, len(graph) + 1)]
+    cases += [(name, rs.adjacency(), 12) for name, rs in
+              (("th33", truncate(hex_torus(3, 3))),
+               ("hk33", truncate(hex_klein(3, 3))))]
+    for name, graph, n in cases:
+        space = _Space(graph)
+        states = list(iter_states_by_copies(space, n, DEFAULT_BUDGET))
+        index = {p: i for i, p in enumerate(states)}
+        dg = build_transfer_digraph(graph, n)
+        walks = dg._walks(range(dg.state_count))
+        assert list(zip(*walks)) == states, (name, n)
+        assert dg._find(walks) == list(range(len(states))), (name, n)
+        assert dg._find(walks[::-1]) == [index[p[::-1]] for p in states], \
+            (name, n)
+        assert enumerate_paths(graph, n) == tuple(map(space.decode, states))
+        labels = [",".join(map(str, space.decode(p).vertices))
+                  for p in states]
+        lines = list(itertools.islice(dg.dot_lines(), 1, len(states) + 1))
+        assert lines == ['  "%s";\n' % label for label in labels], (name, n)
 
 
 @pytest.mark.parametrize("name,graph,max_n,value", [
