@@ -9,10 +9,12 @@ distinct spoke ends, a simple rim).  The global consequences
 (3-connectivity, closed 2-cell) are cross-checked against the wheel
 verdict; a disagreement in the implied direction is a bug in this
 package, not bad input, and raises RuntimeError.  3-connectivity is
-decided on a single DFS tree, O((V + E) log V); only a graph that
-fails repeats the same search on G - u per vertex u, O(V * (V + E)),
-to name the first separating pair in sorted order, and a pair that no
-deletion confirms raises RuntimeError too.
+decided on a single DFS tree, O((V + E) log V), which also marks the
+vertices that lie in some separating pair.  A graph that fails names
+the first separating pair in sorted order by the same search on G - u
+for the first marked u, and a pair that no deletion confirms raises
+RuntimeError too; only a graph with a cut vertex tries the vertices
+in turn until one confirms.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -20,7 +22,7 @@ report serialisation unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -128,10 +130,12 @@ def check_3_connected(graph):
     sorted order, or () when the graph is disconnected or too small.
 
     One depth-first search (``_dfs``) finds a disconnected graph or a
-    cut vertex, and its tree decides a separating pair
-    (``_has_separation_pair``), O((V + E) log V) in all.  Only a graph
-    that fails repeats the search on G - u for each u, O(V * (V + E)),
-    to name the witness (``_first_separating_pair``).
+    cut vertex, and its tree marks the vertices that lie in some
+    separating pair (``_separating_vertices``), O((V + E) log V) in
+    all.  A graph that fails names the witness by the same search on
+    G - u for the first marked u, and a second one when G - u splits
+    (``_first_separating_pair``); a graph with a cut vertex has every
+    vertex as a candidate.
     """
     names = sorted(graph)
     num = len(names)
@@ -151,8 +155,12 @@ def check_3_connected(graph):
     tree = _dfs(adj, 0, pre)
     if len(tree[0]) < num:
         return False, ()
-    if _cut_vertices(*tree) or _has_separation_pair(adj, pre, *tree):
-        return False, _first_separating_pair(names, adj)
+    if _cut_vertices(*tree):
+        candidates = range(num - 1)
+    else:
+        candidates = _separating_vertices(adj, pre, *tree)
+    if candidates:
+        return False, _first_separating_pair(names, adj, candidates)
     return True, None
 
 
@@ -200,17 +208,19 @@ def _cut_vertices(order, parent, low):
             if low[x] == parent[x]}
 
 
-def _has_separation_pair(adj, pre, order, parent, low):
-    """True iff the 2-connected simple graph ``adj`` on integers 0..V-1,
-    V >= 4, has a separating pair; the other arguments are ``_dfs``
-    from 0 on it.
+def _separating_vertices(adj, pre, order, parent, low):
+    """The vertices, ascending, that lie in some separating pair of the
+    2-connected simple graph ``adj`` on integers 0..V-1, V >= 4; the
+    other arguments are ``_dfs`` from 0 on it.  The root 0 is returned
+    alone as soon as a type-1 pair holds it (no type-2 pair does): it
+    comes first in index order, so it is the first pair's u.
 
     In a 2-connected graph both vertices of a separating pair lie on one
     root path (Hopcroft & Tarjan 1973): a above b.  Let a' be the child
     of a toward b.  For each vertex c with parent b, ``low[c]`` and
     ``hi[c]`` are the farthest and the nearest landing strictly above b
-    of a frond from c's subtree.  G - {a, b} falls apart in one of two
-    ways:
+    of a frond from c's subtree.  G - {a, b} falls apart if and only if
+    it does in one of two ways:
 
     - type 1: a child c of b has low[c] == hi[c] == a, so its subtree
       reaches nothing but a and b, and some vertex lies outside it;
@@ -220,10 +230,19 @@ def _has_separation_pair(adj, pre, order, parent, low):
       and b, i.e. depth(low[c]) < depth(a) < depth(hi[c]) for none
       (test B).
 
-    Test A is kept along the DFS path as the set of depths of a that
-    pass it for the current b; each vertex x truncates the set to the
+    Test A is kept along the DFS path as the list of depths of a that
+    pass it for the current b; each vertex x truncates the list to the
     depths that its parent and its siblings' subtrees do not jump over,
-    and adds its grandparent's depth if they jump over nothing.
+    and appends its grandparent's depth if they jump over nothing.  The
+    entry x appends follows the one before it, appended by an ancestor
+    of x, so the entries form a forest, and the depths of b's list that
+    survive test B come in stretches, each a vertical segment of that
+    forest.  A segment is marked by +1 at its lower end and -1 above its
+    upper end, and one sweep in reverse preorder adds each entry's count
+    to the entry before it: the vertex an entry holds lies in a pair
+    with some b if and only if the entry's count is positive.  No pair
+    is visited one by one, so a graph with Theta(V^2) separating pairs
+    costs O((V + E) log V) like any other.
     """
     num = len(adj)
     depth = [0] * num
@@ -259,9 +278,12 @@ def _has_separation_pair(adj, pre, order, parent, low):
                 hi[v] = w
                 up[v] = v = parent[v]
 
+    marked = set()
     for c in range(1, num):
         if parent[c] and low[c] == hi[c] and size[c] < num - 2:
-            return True  # type 1
+            if not low[c]:
+                return [0]  # type 1 at the root, first in index order
+            marked.update((low[c], parent[c]))  # type 1
 
     # sib[x]: depth of the farthest landing of a frond from parent(x)
     # or from a sibling's subtree; no farther than parent(x) if none
@@ -279,52 +301,75 @@ def _has_separation_pair(adj, pre, order, parent, low):
     passing = [0] * num  # the depths of a passing test A, ascending
     count = 0
     undo = []  # (count, slot, old value) per path vertex below the root
+    path = [0] * num  # path[k]: the vertex at depth k on b's root path,
+    # kept for those that append: the entry of depth d is path[d + 2]'s
+    before = [-1] * num  # before[x]: who appended the entry before x's
+    ends = [0] * num  # +1 below and -1 above each surviving segment
     for b in range(1, num):
         top = depth[b]
         while len(undo) >= top:
             count, slot, old = undo.pop()
             if slot >= 0:
                 passing[slot] = old
-        kept = bisect_right(passing, sib[b], 0, count)
-        if sib[b] >= top - 2 >= 1:
-            undo.append((count, kept, passing[kept]))
-            passing[kept] = top - 2
-            kept += 1
-        else:
+        if sib[b] >= top - 2 >= 1:  # keeps every entry, appends top - 2
+            undo.append((count, count, passing[count]))
+            path[top] = b
+            if count:
+                before[b] = path[passing[count - 1] + 2]
+            passing[count] = top - 2
+            count += 1
+        else:  # keeps the entries that sib[b] does not jump over
             undo.append((count, -1, 0))
-        count = kept
+            count = bisect_right(passing, sib[b], 0, count)
         if not count:
             continue
-        # test B: the nearest passing depth that no child of b bridges;
-        # children by their nearest landing, nearest first
+        # test B: the passing depths that no child of b bridges, in
+        # stretches; children by their nearest landing, nearest first, so
+        # the entries left undecided are always passing[:left]
         d = passing[count - 1]
         left = count
         for near, far in sorted([(depth[hi[c]], depth[low[c]])
                                  for c in kids[b]], reverse=True):
-            if near <= d:
-                break
             if far < d:
+                if near <= d:  # out of reach of c and every later child
+                    cut = bisect_left(passing, near, 0, left)
+                    ends[path[d + 2]] += 1
+                    if cut:
+                        ends[path[passing[cut - 1] + 2]] -= 1
+                    marked.add(b)
+                    left = cut
                 left = bisect_right(passing, far, 0, left)
                 if not left:
                     break
                 d = passing[left - 1]
         if left:
-            return True  # type 2
-    return False
+            ends[path[d + 2]] += 1
+            marked.add(b)  # type 2
+    if marked:  # else no segment either
+        for x in range(num - 1, 0, -1):
+            if ends[x]:
+                marked.add(parent[parent[x]])
+                if before[x] >= 0:
+                    ends[before[x]] += ends[x]
+    return sorted(order[x] for x in marked)
 
 
-def _first_separating_pair(names, adj):
+def _first_separating_pair(names, adj, candidates):
     """The first separating pair (u, w) of a connected graph that has one.
 
-    For each u in sorted order one ``_dfs`` on G - u finds the partners
-    w > u with {u, w} separating, so the search costs O(V * (V + E))
-    where deleting every pair would cost O(V^2 * (V + E)).  When G - u
-    is connected they are its cut vertices.  When it splits, a second
-    search tells two pieces from more: {u, w} separates unless exactly
-    two pieces are left and w is one of them alone.
+    ``candidates`` is ascending and holds the smallest vertex that lies
+    in a separating pair, so the first candidate that lies in one is the
+    pair's u.  For each u in turn one ``_dfs`` on G - u finds the partners w > u
+    with {u, w} separating.  When G - u is connected they are its cut
+    vertices.  When it splits, a second search tells two pieces from
+    more: {u, w} separates unless exactly two pieces are left and w is
+    one of them alone.  With the exact candidates of
+    ``_separating_vertices`` the first u confirms, so this costs
+    O(V + E); a graph with a cut vertex passes every vertex but the
+    last.
     """
     num = len(adj)
-    for u in range(num - 1):
+    for u in candidates:
         pre = [-1] * num
         pre[u] = num
         order, parent, low = _dfs(adj, int(u == 0), pre)

@@ -209,15 +209,13 @@ def stuck_by_dfs(space, n, start_order=None):
 
 def tail_moves_by_index(adj, level):
     """The bounds of ``level``'s tail runs, each found by bisecting the
-    states on ``state_at(i).tail``, and, ascending, its states whose
-    tail neighbours their head, each found by ``array.index`` on the
-    heads, one Python int compared per state.  The oracle for
-    ``_bounds`` and ``transferability._tail_moves``."""
-    index, heads = level._space.index, level._head
-    states = range(level.state_count)
-    bounds = [bisect_left(states, v,
-                          key=lambda i: index[level.state_at(i).tail])
-              for v in range(len(adj) + 1)]
+    states' tails, decoded by one ``_walks`` call, and, ascending, its
+    states whose tail neighbours their head, each found by
+    ``array.index`` on the heads, one Python int compared per state.
+    The oracle for ``_bounds`` and ``transferability._tail_moves``."""
+    heads = level._head
+    tails = level._walks(range(level.state_count))[0]
+    bounds = [bisect_left(tails, v) for v in range(len(adj) + 1)]
     drops = []
     for v, row in enumerate(adj):
         hi = bounds[v + 1]

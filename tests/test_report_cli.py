@@ -482,8 +482,8 @@ def test_unconfirmed_separation_pair_exits_4(capsys, monkeypatch, tmp_path):
     prints one stderr line and exits 4."""
     path = tmp_path / "tetra.map"
     path.write_text(serialize_map(tetrahedron()), encoding="utf-8")
-    monkeypatch.setattr(polymap.validity, "_has_separation_pair",
-                        lambda *tree: True)
+    monkeypatch.setattr(polymap.validity, "_separating_vertices",
+                        lambda *tree: [0])
     with pytest.raises(RuntimeError, match="separation-pair test"):
         polymap.validity.check_3_connected(tetrahedron().adjacency())
     code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])

@@ -9,7 +9,7 @@ import networkx
 import pytest
 
 import polymap.validity
-from conftest import (base_corpus, pairs_3_connected, perturb,
+from conftest import (base_corpus, cycle_graph, pairs_3_connected, perturb,
                       random_connected_graph, random_cubic_graph, seeded_rng,
                       subdivide, wheel_by_arcs)
 from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
@@ -289,7 +289,7 @@ def test_3_connectivity_on_random_cubic_graphs(half, seed):
 
 def test_3_connected_maps_never_fall_back(monkeypatch):
     """A 3-connected map is accepted by one depth-first search: the
-    witness loop, which searches G - u for every u, never runs."""
+    witness loop, which searches G - u for each marked u, never runs."""
     calls = []
     search = polymap.validity._dfs
 
@@ -302,6 +302,100 @@ def test_3_connected_maps_never_fall_back(monkeypatch):
         calls.clear()
         assert check_3_connected(rs.adjacency()) == (True, None)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("size", [10, 30])
+def test_witness_is_named_from_the_one_tree(monkeypatch, size):
+    """A map that fails only for want of a separating pair names the
+    first one from the tree that found it: with the first, middle or
+    last edge of hex_torus subdivided, the witness is that edge's ends
+    and ``_dfs`` runs at most three times (on G, on G - u, and on the
+    second piece of G - u)."""
+    calls = []
+    search = polymap.validity._dfs
+
+    def counted(adj, root, pre):
+        calls.append(root)
+        return search(adj, root, pre)
+    monkeypatch.setattr(polymap.validity, "_dfs", counted)
+    host = hex_torus(size, size)
+    edges = sorted(host.edges)
+    for edge in (edges[0], edges[len(edges) // 2], edges[-1]):
+        calls.clear()
+        assert check_3_connected(subdivide(host, edge, 1).adjacency()) == \
+            (False, tuple(sorted(host.endpoints(edge)))), edge
+        assert len(calls) <= 3, (edge, len(calls))
+
+
+def _theta_graph(lengths):
+    """Hubs x and y joined by one path per entry of ``lengths``, through
+    that many inner vertices."""
+    graph = {"x": [], "y": []}
+    for i, k in enumerate(lengths):
+        path = ["x"] + ["t%d.%d" % (i, j) for j in range(k)] + ["y"]
+        for u, w in zip(path, path[1:]):
+            graph.setdefault(u, []).append(w)
+            graph.setdefault(w, []).append(u)
+    return graph
+
+
+def _wheel_graph(spokes):
+    """A hub and a rim of len(spokes) vertices, spoke i subdivided
+    spokes[i] times."""
+    rim = ["r%d" % i for i in range(len(spokes))]
+    graph = {v: [] for v in ["h"] + rim}
+    for i, k in enumerate(spokes):
+        path = ["h"] + ["s%d.%d" % (i, j) for j in range(k)] + [rim[i]]
+        for u, w in list(zip(path, path[1:])) + [(rim[i], rim[i - 1])]:
+            graph.setdefault(u, []).append(w)
+            graph.setdefault(w, []).append(u)
+    return graph
+
+
+def test_3_connectivity_where_most_pairs_separate(monkeypatch):
+    """Verdict and witness equal the brute-force pair loop's where
+    most vertex pairs separate: cycles C4 to C24, theta graphs with
+    subdivided paths and wheels with subdivided spokes, each under
+    three seeded relabellings, so the tree is rooted both in a pair and
+    outside every pair.  The vertices the tree marks are exactly those
+    that lie in a separating pair, or the root alone when it lies in
+    one, and no pair is left unmarked."""
+    marks = []
+    mark = polymap.validity._separating_vertices
+    monkeypatch.setattr(polymap.validity, "_separating_vertices",
+                        lambda *tree: marks.append(mark(*tree)) or marks[-1])
+    graphs = [cycle_graph(n) for n in range(4, 25)]
+    graphs += [_theta_graph(lengths) for paths in (3, 4, 5)
+               for lengths in itertools.combinations_with_replacement(
+                   (1, 2, 3), paths)]
+    graphs += [_wheel_graph(spokes) for rim in range(3, 7)
+               for spokes in ((1,) * rim, (2,) + (0,) * (rim - 1),
+                              (0, 1) * (rim // 2) + (2,) * (rim % 2),
+                              tuple(range(rim)))]
+    rng = seeded_rng(12)
+    rooted_outside = 0
+    for graph in graphs:
+        for _ in range(3):
+            names = list(graph)
+            rng.shuffle(names)
+            relabel = dict(zip(graph, names))
+            moved = {relabel[v]: [relabel[w] for w in row]
+                     for v, row in graph.items()}
+            marks.clear()
+            got = check_3_connected(moved)
+            assert got == pairs_3_connected(moved), moved
+            assert not got[0]
+            nx_graph = networkx.Graph(
+                [(v, w) for v, row in moved.items() for w in row])
+            inside = {v for pair in itertools.combinations(nx_graph, 2)
+                      if not networkx.is_connected(nx_graph.subgraph(
+                          set(nx_graph) - set(pair))) for v in pair}
+            names = sorted(moved)
+            root = names[0]
+            assert [{names[i] for i in m} for m in marks] == \
+                [{root} if root in inside else inside], moved
+            rooted_outside += root not in inside
+    assert rooted_outside >= 40
 
 
 @pytest.fixture(scope="module")
