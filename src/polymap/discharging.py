@@ -51,6 +51,13 @@ HUGE = DEGREE_CAP + 1
 
 # Rule A1: vertex of degree >= 4 pays each incident face of degree 3/4/5.
 _A1_AMOUNT = {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}
+# Rule A2: the extra amount to each 3-face.
+_A2_AMOUNT = Fraction(1, 10)
+# Rule A4: refund per incident (3,3,4,k)- and (3,3,5,k)-vertex.
+_A4_AMOUNT_334 = Fraction(1, 2)
+_A4_AMOUNT_335 = Fraction(1, 5)
+# Lemma 2: the floor on every final vertex charge.
+_LEMMA2_FLOOR = Fraction(1, 21)
 
 # Rule A3: amount sent by the major face across a weak / semi-weak edge,
 # keyed by its degree band, then by the minor face's degree.
@@ -89,8 +96,16 @@ class ChargeState:
         return "stage_A"
 
     def total(self):
-        return (sum(self.vertex_charge.values(), Fraction(0))
-                + sum(self.face_charge.values(), Fraction(0)))
+        """The exact sum of every charge.  Numerators are added as ints
+        per distinct denominator, so only one ``Fraction`` addition is
+        made per denominator rather than one per vertex and face."""
+        numerators = {}
+        for charges in (self.vertex_charge, self.face_charge):
+            for c in charges.values():
+                d = c.denominator
+                numerators[d] = numerators.get(d, 0) + c.numerator
+        return sum((Fraction(n, d) for d, n in numerators.items()),
+                   Fraction(0))
 
     def _advance(self, rule):
         if rule in self.applied:
@@ -186,7 +201,7 @@ def apply_rule_a2(state, top, ledger):
         for f in top.vertex_faces[v]:
             if top.face_degrees[f] != 3:
                 continue
-            _move(state, ledger, "A2", ("v", v), ("f", f), Fraction(1, 10),
+            _move(state, ledger, "A2", ("v", v), ("f", f), _A2_AMOUNT,
                   "deg(v)=%d three-face with two six-faces"
                   % top.vertex_degrees[v])
     return state
@@ -240,9 +255,9 @@ def apply_rule_a4(state, top, ledger):
         for v in walk.vertex_sequence:
             vt = top.vertex_types[v]
             if vt == (3, 3, 4, k):
-                amount = Fraction(1, 2)
+                amount = _A4_AMOUNT_334
             elif vt == (3, 3, 5, k):
-                amount = Fraction(1, 5)
+                amount = _A4_AMOUNT_335
             else:
                 continue
             _move(state, ledger, "A4", ("f", f), ("v", v), amount,
@@ -304,7 +319,7 @@ def _audit(top, after_a, final):
     lemma2 = tuple(
         (v, final.vertex_charge[v])
         for v in top.rs.vertices
-        if final.vertex_charge[v] < Fraction(1, 21))
+        if final.vertex_charge[v] < _LEMMA2_FLOOR)
     violated = bool(lemma1 or lemma2)
     contradiction = (violated and not scan.light
                      and scan.hypotheses_met)

@@ -12,8 +12,10 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .curvature_light import curvature, gauss_bonnet_sum
 
@@ -33,8 +35,11 @@ __all__ = [
 
 
 def fraction_str(value):
-    f = Fraction(value)
-    return "%d/%d" % (f.numerator, f.denominator)
+    # an int or a Fraction is already in lowest terms with a positive
+    # denominator; only other numbers need a Fraction built
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 def topology_section(top):
@@ -142,8 +147,98 @@ def stuck_section(witness, n, anchor):
 
 
 def render_json(doc):
-    return json.dumps(doc, indent=2, sort_keys=False,
-                      default=_json_fallback) + "\n"
+    """``json.dumps(doc, indent=2, default=_json_fallback)`` and a newline,
+    byte for byte.  The standard library lays out an indented document in
+    pure Python, one call per value; this writer lays out dicts with str
+    keys, lists and tuples itself and encodes a container's values, when
+    they are all str or all int, with one C-level ``map``, and a list of
+    such dicts with one key tuple with one map and one template.  None
+    and bools are JSON constants; any other value (a Fraction, a float, a
+    subclass) goes to ``json.dumps`` and has its newlines re-indented,
+    which is exact because JSON text holds no raw newline inside a
+    string."""
+    return _json_text(doc, "\n") + "\n"
+
+
+_ONLY_STR = frozenset((str,))
+_ONLY_INT = frozenset((int,))
+_ONLY_DICT = frozenset((dict,))
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(node, newline):
+    # ``newline`` is "\n" plus the indent of the line ``node`` starts on
+    kind = type(node)
+    if kind is dict:
+        if not node:
+            return "{}"
+        try:
+            keys = list(map(encode_basestring_ascii, node))
+        except TypeError:  # a key that is not a str
+            return _json_fallback_text(node, newline)
+        inner = newline + "  "
+        items = map("{}: {}".format, keys, _json_values(node.values(), inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not node:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join(_json_values(node, inner))
+                + newline + "]")
+    if kind is str:
+        return encode_basestring_ascii(node)
+    if kind is int:
+        return int.__repr__(node)
+    if node is None or kind is bool:
+        return _JSON_CONSTANTS[node]
+    return _json_fallback_text(node, newline)
+
+
+def _json_values(values, newline):
+    kinds = set(map(type, values))
+    leaves = _json_leaves(kinds, values)
+    if leaves is not None:
+        return leaves
+    if kinds == _ONLY_DICT:
+        rows = _json_rows(values, newline)
+        if rows is not None:
+            return rows
+    return [_json_text(value, newline) for value in values]
+
+
+def _json_leaves(kinds, values):
+    # one map over ``values`` when their types ``kinds`` are str alone or
+    # int alone, else None
+    if kinds == _ONLY_STR:
+        return map(encode_basestring_ascii, values)
+    if kinds == _ONLY_INT:
+        return map(int.__repr__, values)
+    return None
+
+
+def _json_rows(dicts, newline):
+    # Dicts that share one tuple of str keys, their values all str or all
+    # int, are laid out from one %-template: the values of every dict are
+    # encoded with one map and each dict is one format.  Otherwise (empty
+    # dicts included: they have no values) None.
+    shapes = set(map(tuple, dicts))
+    if len(shapes) != 1:
+        return None
+    keys, = shapes
+    values = list(itertools.chain.from_iterable(map(dict.values, dicts)))
+    leaves = _json_leaves(set(map(type, values)), values)
+    if leaves is None or set(map(type, keys)) != _ONLY_STR:
+        return None
+    inner = newline + "  "
+    template = "{" + inner + ("," + inner).join(
+        key.replace("%", "%%") + ": %s"
+        for key in map(encode_basestring_ascii, keys)) + newline + "}"
+    return map(template.__mod__, zip(*[leaves] * len(keys)))
+
+
+def _json_fallback_text(node, newline):
+    return json.dumps(node, indent=2,
+                      default=_json_fallback).replace("\n", newline)
 
 
 def _json_fallback(value):

@@ -291,8 +291,9 @@ def block_digraph_by_dfs(graph, n, budget=DEFAULT_BUDGET):
     to its id, the block starts ``first`` (then an empty sink block for
     the suffixes that start no block) and the block of each state's
     p[1:] (``suffix``), with Tarjan on that block digraph.  The oracle for
-    ``TransferDigraph`` built level by level: its ``states`` (decoded),
-    successor ``rows``, ``arc_count``, ``scc`` and n-``verdict``."""
+    ``TransferDigraph`` built level by level: its ``states`` (tuples of
+    vertex indices), successor ``rows``, ``arc_count``, ``scc`` and
+    n-``verdict``."""
     space = _Space(graph)
     states = list(iter_states_by_copies(space, n, budget))
     blocks = {}
@@ -319,9 +320,9 @@ def block_digraph_by_dfs(graph, n, budget=DEFAULT_BUDGET):
         ok = scc.count == 1
         verdict = NPathVerdict(n, ok, "" if ok else "not-strongly-connected",
                                len(states), scc.count)
-    return SimpleNamespace(states=[space.decode(p) for p in states],
-                           rows=rows, arc_count=sum(map(len, rows)),
-                           scc=scc, verdict=verdict)
+    return SimpleNamespace(states=states, rows=rows,
+                           arc_count=sum(map(len, rows)), scc=scc,
+                           verdict=verdict)
 
 
 def scc_sizes_by_arcs(graph, n, budget=DEFAULT_BUDGET):

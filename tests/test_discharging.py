@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 
 from polymap.discharging import (HUGE, ChargeState, TransferLedger,
-                                 apply_rule_a1, apply_rule_a2, apply_rule_a3,
-                                 apply_rule_a4, apply_rule_b, initial_charges,
-                                 lemma1_bound, run_discharge)
+                                 _check_total, apply_rule_a1, apply_rule_a2,
+                                 apply_rule_a3, apply_rule_a4, apply_rule_b,
+                                 initial_charges, lemma1_bound, run_discharge)
 from polymap.errors import StructureError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
-                                truncate)
+                                tri_torus, truncate)
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import check_polyhedral
 
-from conftest import antiprism, drum, medial, subdivide
+from conftest import antiprism, drum, medial, perturb, seeded_rng, subdivide
 
 F = Fraction
 
@@ -48,6 +48,56 @@ def test_conservation_through_all_stages(corpus_tops):
             state = rule(state, top, TransferLedger())
             assert state.total() == expect, (name, state.applied)
         assert state.stage == "after_B"
+
+
+def _plain_total(state):
+    return (sum(state.vertex_charge.values(), F(0))
+            + sum(state.face_charge.values(), F(0)))
+
+
+def _totals_at_every_stage(top):
+    """(total, plain sum) after the initial charges and after each rule,
+    or None when rule A3 refuses the map (an edge with one face)."""
+    state = initial_charges(top)
+    totals = [(state.total(), _plain_total(state))]
+    try:
+        for rule in _A_RULES + (apply_rule_b,):
+            state = rule(state, top, TransferLedger())
+            totals.append((state.total(), _plain_total(state)))
+    except StructureError:
+        return None
+    return totals
+
+
+def test_total_is_the_plain_sum_at_every_stage(corpus, corpus_tops):
+    """The total summed per denominator equals one Fraction addition per
+    charge after the initial charges and after every rule, on the corpus,
+    larger truncated tori and twelve chi < 0 perturb mutants that the
+    rules accept."""
+    tops = list(corpus_tops.values())
+    tops += [topology(truncate(rs)) for rs in
+             (hex_torus(6, 6), hex_klein(4, 4), tri_torus(4, 4))]
+    rng = seeded_rng(2525)
+    names = sorted(corpus)
+    mutants = []
+    while len(mutants) < 12:
+        top = topology(perturb(corpus[names[rng.randrange(len(names))]], rng,
+                               moves=rng.randint(1, 3)))
+        if top.euler_characteristic < 0 and _totals_at_every_stage(top):
+            mutants.append(top)
+    for top in tops + mutants:
+        for total, plain in _totals_at_every_stage(top):
+            assert type(total) is F and total == plain
+
+
+def test_check_total_catches_a_charge_off_by_a_twelfth(trunc_hex):
+    top = trunc_hex[0]
+    for state in (initial_charges(top), run_discharge(top)[0]):
+        _check_total(state, F(0), state.stage)
+        state.face_charge[0] += F(1, 12)
+        with pytest.raises(RuntimeError,
+                           match="charge conservation broken.*1/12"):
+            _check_total(state, F(0), state.stage)
 
 
 def test_truncated_hex_worked_example(trunc_hex):

@@ -10,6 +10,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 import polymap
@@ -22,8 +24,8 @@ from polymap.curvature_light import curvature, match_light, scan_theorem2
 from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
                                 truncate)
 from polymap.mapfile import parse_map, serialize_map
-from polymap.report import (curvature_section, fraction_str, render_json,
-                            render_text)
+from polymap.report import (_json_fallback, curvature_section, fraction_str,
+                            render_json, render_text)
 from polymap.surface_map import topology
 from polymap.validity import check_polyhedral
 
@@ -47,6 +49,8 @@ def test_fraction_str():
     assert fraction_str(Fraction(0)) == "0/1"
     assert fraction_str(Fraction(-3, 2)) == "-3/2"
     assert fraction_str(Fraction(19, 10)) == "19/10"
+    assert fraction_str(0) == "0/1"
+    assert fraction_str(-4) == "-4/1"
 
 
 def test_render_text_shapes():
@@ -122,6 +126,45 @@ def test_render_json_round_trips():
     assert parsed == {"x": "2/3", "y": [1, "two", None], "z": {"w": False}}
     with pytest.raises(TypeError):
         render_json({"bad": object()})
+
+
+_json_strings = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\%\n\t\x00\x1f\x7f\xe9\u2603\U0001f600')))
+_json_ints = st.integers(-2 ** 80, 2 ** 80)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), _json_ints, _json_strings, st.fractions())
+
+
+def _like_keyed_dicts(values):
+    # lists of dicts that share one key tuple
+    return st.lists(_json_strings, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            dict.fromkeys(keys, values))))
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(_json_strings, children),
+        st.dictionaries(st.one_of(_json_strings, st.integers()), children),
+        st.lists(_json_strings), st.lists(_json_ints),
+        st.dictionaries(_json_strings, _json_strings),
+        _like_keyed_dicts(_json_strings), _like_keyed_dicts(_json_ints),
+        _like_keyed_dicts(children))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.recursive(_json_leaves, _json_containers,
+                               max_leaves=20))
+def test_render_json_is_the_stdlib_indent_layout(doc):
+    """The report's JSON writer gives ``json.dumps(indent=2)``'s bytes on
+    nested dicts (int keys too), lists and tuples (empty ones too), lists
+    of dicts with one key tuple, strings with non-ASCII and control
+    characters, quotes, backslashes and %, negative and wide ints, bools,
+    None and Fractions."""
+    assert render_json(doc) == json.dumps(doc, indent=2,
+                                          default=_json_fallback) + "\n"
 
 
 def test_analyze_text(capsys, monkeypatch, hex33_file):
