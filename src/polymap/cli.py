@@ -14,6 +14,7 @@ is written, as in ``polymap export-digraph FILE --n 10 | head -1``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -70,6 +71,7 @@ def main(argv=None):
         return 4
 
 
+@functools.cache
 def _build_parser():
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "json"), default="text",

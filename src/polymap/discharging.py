@@ -7,11 +7,14 @@ rule below moves charge without creating or destroying it.  Stage A
 amounts keyed only on degrees; stage B empties every major face
 (degree >= 7) equally onto its vertex incidences.
 
-All amounts are ``fractions.Fraction``; floats never appear here.  The
-A rules commute (their amounts never read current charges), so they may
-be applied in any order before rule B; the canonical pipeline in
-:func:`run_discharge` runs A1, A2, A3, A4, B and asserts conservation
-after every step.
+Every charge, ledger amount and total a caller sees is a
+``fractions.Fraction``; floats never appear here.  Inside, each A rule
+moves charge in whole 20ths (every stage-A amount is one) and adds each
+charge's summed int delta to it as one Fraction; rule B sums each
+vertex's shares as ints per denominator.  The A rules commute (their
+amounts never read current charges), so they may be applied in any
+order before rule B; the canonical pipeline in :func:`run_discharge`
+runs A1, A2, A3, A4, B and asserts conservation after every step.
 
 Every rule records each transfer in the :class:`TransferLedger` it is
 given; replaying the ledger over the initial charges must land exactly
@@ -23,8 +26,10 @@ with light vertices) failed bounds are informational only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .curvature_light import DEGREE_CAP, scan_theorem2
 from .errors import StructureError
@@ -49,30 +54,30 @@ __all__ = [
 # switch to their last band): just past the light table's cap.
 HUGE = DEGREE_CAP + 1
 
+# Stage-A amounts are in 20ths.
 # Rule A1: vertex of degree >= 4 pays each incident face of degree 3/4/5.
-_A1_AMOUNT = {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}
+_A1_AMOUNT = {3: 20, 4: 10, 5: 4}
 # Rule A2: the extra amount to each 3-face.
-_A2_AMOUNT = Fraction(1, 10)
+_A2_AMOUNT = 2
 # Rule A4: refund per incident (3,3,4,k)- and (3,3,5,k)-vertex.
-_A4_AMOUNT_334 = Fraction(1, 2)
-_A4_AMOUNT_335 = Fraction(1, 5)
+_A4_AMOUNT = {4: 10, 5: 4}
+# The ledger's Fraction for each amount in 20ths.
+_TWENTIETHS = tuple(Fraction(n, 20) for n in range(39))
 # Lemma 2: the floor on every final vertex charge.
 _LEMMA2_FLOOR = Fraction(1, 21)
+# Lemma 1: the floor on the after-A charge of a face of degree 7..12.
+_LEMMA1_BOUND = (Fraction(2, 5), Fraction(6, 5), Fraction(1),
+                 Fraction(3, 2), Fraction(5, 2), Fraction(3))
+_ZERO = Fraction(0)
 
 # Rule A3: amount sent by the major face across a weak / semi-weak edge,
-# keyed by its degree band, then by the minor face's degree.
-_A3_WEAK = (
-    ((7, 8), {3: Fraction(1, 5), 4: Fraction(1, 5), 5: Fraction(1, 5)}),
-    ((9, 12), {3: Fraction(1, 2), 4: Fraction(1, 2), 5: Fraction(1, 5)}),
-    ((13, HUGE - 1), {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}),
-    ((HUGE, None), {3: Fraction(19, 10), 4: Fraction(1), 5: Fraction(2, 5)}),
-)
-_A3_SEMI_WEAK = (
-    ((7, 8), {3: Fraction(1, 10), 4: Fraction(1, 10), 5: Fraction(1, 10)}),
-    ((9, 12), {3: Fraction(1, 4), 4: Fraction(1, 4), 5: Fraction(1, 10)}),
-    ((13, HUGE - 1), {3: Fraction(1, 2), 4: Fraction(1, 4), 5: Fraction(1, 10)}),
-    ((HUGE, None), {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}),
-)
+# keyed by the minor face's degree, then by the major face's degree band
+# 7..8, 9..12, 13..HUGE-1 or from HUGE on: the number of _A3_BANDS <= it.
+_A3_BANDS = (9, 13, HUGE)
+_A3_AMOUNT = {
+    "weak": {3: (4, 10, 20, 38), 4: (4, 10, 10, 20), 5: (4, 4, 4, 8)},
+    "semi_weak": {3: (2, 5, 10, 20), 4: (2, 5, 5, 10), 5: (2, 2, 2, 4)},
+}
 
 _A_RULES = ("A1", "A2", "A3", "A4")
 
@@ -104,8 +109,7 @@ class ChargeState:
             for c in charges.values():
                 d = c.denominator
                 numerators[d] = numerators.get(d, 0) + c.numerator
-        return sum((Fraction(n, d) for d, n in numerators.items()),
-                   Fraction(0))
+        return _sum(numerators)
 
     def _advance(self, rule):
         if rule in self.applied:
@@ -166,52 +170,40 @@ def initial_charges(top):
     )
 
 
-def _move(state, ledger, rule, source, target, amount, note):
-    """Move ``amount`` from ``source`` to ``target`` and record it."""
+def _transfer(state, ledger, rule, moves):
+    """Record ``moves``, (source, target, 20ths, note) tuples, in order;
+    add each charge's summed int delta to it as one Fraction."""
+    delta = {}
+    for source, target, n, note in moves:
+        ledger.record(rule, source, target, _TWENTIETHS[n], note)
+        delta[source] = delta.get(source, 0) - n
+        delta[target] = delta.get(target, 0) + n
     charges = {"v": state.vertex_charge, "f": state.face_charge}
-    charges[source[0]][source[1]] -= amount
-    charges[target[0]][target[1]] += amount
-    ledger.record(rule, source, target, amount, note)
+    for (kind, key), n in delta.items():
+        charges[kind][key] += Fraction(n, 20)
+    return state
 
 
 def apply_rule_a1(state, top, ledger):
     """Vertices of degree >= 4 pay 1, 1/2, 1/5 per incident 3-, 4-, 5-face."""
-    state = state._advance("A1")
-    for v in top.rs.vertices:
-        if top.vertex_degrees[v] < 4:
-            continue
-        for f in top.vertex_faces[v]:
-            amount = _A1_AMOUNT.get(top.face_degrees[f])
-            if amount is None:
-                continue
-            _move(state, ledger, "A1", ("v", v), ("f", f), amount,
-                  "deg(v)=%d deg(a)=%d"
-                  % (top.vertex_degrees[v], top.face_degrees[f]))
-    return state
+    deg, fdeg = top.vertex_degrees, top.face_degrees
+    note = cache("deg(v)=%d deg(a)=%d".__mod__)
+    return _transfer(state._advance("A1"), ledger, "A1", (
+        (("v", v), ("f", f), _A1_AMOUNT[fdeg[f]], note((deg[v], fdeg[f])))
+        for v in top.rs.vertices if deg[v] >= 4
+        for f in top.vertex_faces[v] if fdeg[f] in _A1_AMOUNT))
 
 
 def apply_rule_a2(state, top, ledger):
     """Extra 1/10 to each 3-face of a vertex (deg >= 4) that also touches
     at least two 6-faces."""
-    state = state._advance("A2")
-    for v in top.rs.vertices:
-        vt = top.vertex_types[v]
-        if top.vertex_degrees[v] < 4 or vt.count(6) < 2 or 3 not in vt:
-            continue
-        for f in top.vertex_faces[v]:
-            if top.face_degrees[f] != 3:
-                continue
-            _move(state, ledger, "A2", ("v", v), ("f", f), _A2_AMOUNT,
-                  "deg(v)=%d three-face with two six-faces"
-                  % top.vertex_degrees[v])
-    return state
-
-
-def _a3_amount(table, major_degree, minor_degree):
-    for (lo, hi), row in table:
-        if major_degree >= lo and (hi is None or major_degree <= hi):
-            return row[minor_degree]
-    raise AssertionError("unreachable band for degree %d" % major_degree)
+    deg, types = top.vertex_degrees, top.vertex_types
+    note = cache("deg(v)=%d three-face with two six-faces".__mod__)
+    return _transfer(state._advance("A2"), ledger, "A2", (
+        (("v", v), ("f", f), _A2_AMOUNT, note(deg[v]))
+        for v in top.rs.vertices
+        if deg[v] >= 4 and types[v].count(6) >= 2 and 3 in types[v]
+        for f in top.vertex_faces[v] if top.face_degrees[f] == 3))
 
 
 def apply_rule_a3(state, top, ledger):
@@ -219,6 +211,7 @@ def apply_rule_a3(state, top, ledger):
     or 5, the degrees the tables price) on one side and a major face
     (deg >= 7) on the other, the major face pays the tabulated amount."""
     state = state._advance("A3")
+    moves = []
     for e in top.rs.edges:
         f1, f2 = top.edge_faces[e]
         if f1 == f2:
@@ -235,59 +228,60 @@ def apply_rule_a3(state, top, ledger):
             minor, major = f2, f1
         else:
             continue
-        table = _A3_WEAK if kind == "weak" else _A3_SEMI_WEAK
-        amount = _a3_amount(
-            table, top.face_degrees[major], top.face_degrees[minor])
-        _move(state, ledger, "A3", ("f", major), ("f", minor), amount,
-              "%s edge %s deg(a)=%d deg(a')=%d"
-              % (kind, e, top.face_degrees[minor], top.face_degrees[major]))
-    return state
+        amount = _A3_AMOUNT[kind][top.face_degrees[minor]][
+            bisect_right(_A3_BANDS, top.face_degrees[major])]
+        moves.append((("f", major), ("f", minor), amount,
+                      "%s edge %s deg(a)=%d deg(a')=%d"
+                      % (kind, e, top.face_degrees[minor],
+                         top.face_degrees[major])))
+    return _transfer(state, ledger, "A3", moves)
 
 
 def apply_rule_a4(state, top, ledger):
     """Huge faces (degree >= 2519) refund 1/2 per incident (3,3,4,k)-vertex
     and 1/5 per incident (3,3,5,k)-vertex, k being the face's own degree."""
-    state = state._advance("A4")
-    for f, walk in enumerate(top.faces):
-        k = top.face_degrees[f]
-        if k < HUGE:
-            continue
-        for v in walk.vertex_sequence:
-            vt = top.vertex_types[v]
-            if vt == (3, 3, 4, k):
-                amount = _A4_AMOUNT_334
-            elif vt == (3, 3, 5, k):
-                amount = _A4_AMOUNT_335
-            else:
-                continue
-            _move(state, ledger, "A4", ("f", f), ("v", v), amount,
-                  "type %r with k=%d" % (vt, k))
-    return state
+    note = cache("type %r with k=%d".__mod__)
+    return _transfer(state._advance("A4"), ledger, "A4", (
+        (("f", f), ("v", v), _A4_AMOUNT[vt[2]], note((vt, k)))
+        for f, k in enumerate(top.face_degrees) if k >= HUGE
+        for v in top.faces[f].vertex_sequence
+        if (vt := top.vertex_types[v]) in ((3, 3, 4, k), (3, 3, 5, k))))
 
 
 def apply_rule_b(state, top, ledger):
     """Every major face splits its entire charge equally over its vertex
     incidences and ends at zero."""
     state = state._advance("B")
+    gains = {}  # vertex -> {denominator: sum of numerators}
+    note = cache("deg(a)=%d share of c*".__mod__)
     for f, walk in enumerate(top.faces):
         if top.face_degrees[f] < 7:
             continue
-        share = state.face_charge[f] / walk.degree
+        share = Fraction(state.face_charge[f], walk.degree)
         if share == 0:
             continue
+        state.face_charge[f] -= share * walk.degree
+        n, d, text = share.numerator, share.denominator, note(walk.degree)
         for v in walk.vertex_sequence:
-            _move(state, ledger, "B", ("f", f), ("v", v), share,
-                  "deg(a)=%d share of c*" % walk.degree)
+            ledger.record("B", ("f", f), ("v", v), share, text)
+            numerators = gains.setdefault(v, {})
+            numerators[d] = numerators.get(d, 0) + n
+    for v, numerators in gains.items():
+        state.vertex_charge[v] += _sum(numerators)
     return state
+
+
+def _sum(numerators):
+    """The Fraction sum of n/d over ``numerators``, denominator -> n."""
+    return sum((Fraction(n, d) for d, n in numerators.items()), _ZERO)
 
 
 def lemma1_bound(degree):
     """Lower bound the analysis needs on a face's after-A charge."""
     if degree <= 6:
-        return Fraction(0)
+        return _ZERO
     if degree <= 12:
-        return (Fraction(2, 5), Fraction(6, 5), Fraction(1),
-                Fraction(3, 2), Fraction(5, 2), Fraction(3))[degree - 7]
+        return _LEMMA1_BOUND[degree - 7]
     return Fraction(degree, 21)
 
 

@@ -152,17 +152,18 @@ def render_json(doc):
     pure Python, one call per value; this writer lays out dicts with str
     keys, lists and tuples itself and encodes a container's values, when
     they are all str or all int, with one C-level ``map``, and a list of
-    such dicts with one key tuple with one map and one template.  None
-    and bools are JSON constants; any other value (a Fraction, a float, a
-    subclass) goes to ``json.dumps`` and has its newlines re-indented,
-    which is exact because JSON text holds no raw newline inside a
-    string."""
+    such dicts with one key tuple, or of such lists of one length, with
+    one map and one template.  None and bools are JSON constants; any
+    other value (a Fraction, a float, a subclass) goes to ``json.dumps``
+    and has its newlines re-indented, which is exact because JSON text
+    holds no raw newline inside a string."""
     return _json_text(doc, "\n") + "\n"
 
 
 _ONLY_STR = frozenset((str,))
 _ONLY_INT = frozenset((int,))
 _ONLY_DICT = frozenset((dict,))
+_ONLY_LIST = frozenset((list,))
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -199,8 +200,8 @@ def _json_values(values, newline):
     leaves = _json_leaves(kinds, values)
     if leaves is not None:
         return leaves
-    if kinds == _ONLY_DICT:
-        rows = _json_rows(values, newline)
+    if kinds == _ONLY_DICT or kinds == _ONLY_LIST:
+        rows = _json_rows(kinds == _ONLY_DICT, values, newline)
         if rows is not None:
             return rows
     return [_json_text(value, newline) for value in values]
@@ -216,24 +217,32 @@ def _json_leaves(kinds, values):
     return None
 
 
-def _json_rows(dicts, newline):
-    # Dicts that share one tuple of str keys, their values all str or all
-    # int, are laid out from one %-template: the values of every dict are
-    # encoded with one map and each dict is one format.  Otherwise (empty
-    # dicts included: they have no values) None.
-    shapes = set(map(tuple, dicts))
+def _json_rows(dicts, rows, newline):
+    # Dicts that share one tuple of str keys, or lists of one length, their
+    # values all str or all int, are laid out from one %-template: the
+    # values of every row are encoded with one map and each row is one
+    # format.  Otherwise (empty rows included: they have no values) None.
+    shapes = set(map(tuple if dicts else len, rows))
     if len(shapes) != 1:
         return None
-    keys, = shapes
-    values = list(itertools.chain.from_iterable(map(dict.values, dicts)))
+    shape, = shapes
+    values = list(itertools.chain.from_iterable(
+        map(dict.values, rows) if dicts else rows))
     leaves = _json_leaves(set(map(type, values)), values)
-    if leaves is None or set(map(type, keys)) != _ONLY_STR:
+    if leaves is None:
+        return None
+    if not dicts:
+        heads, brackets = [""] * shape, "[]"
+    elif set(map(type, shape)) == _ONLY_STR:
+        heads = [key.replace("%", "%%") + ": "
+                 for key in map(encode_basestring_ascii, shape)]
+        brackets = "{}"
+    else:
         return None
     inner = newline + "  "
-    template = "{" + inner + ("," + inner).join(
-        key.replace("%", "%%") + ": %s"
-        for key in map(encode_basestring_ascii, keys)) + newline + "}"
-    return map(template.__mod__, zip(*[leaves] * len(keys)))
+    template = brackets[0] + inner + ("," + inner).join(
+        head + "%s" for head in heads) + newline + brackets[1]
+    return map(template.__mod__, zip(*[leaves] * len(heads)))
 
 
 def _json_fallback_text(node, newline):

@@ -3,10 +3,12 @@
 import itertools
 import random
 from bisect import bisect_left
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from polymap.curvature_light import scan_theorem2
 from polymap.errors import BudgetError, StructureError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
@@ -603,6 +605,101 @@ def signed_tree_orientable(rs):
         if flip[u] * rs.signature[e] * flip[w] != 1:
             return False
     return True
+
+# -- the discharging rules one Fraction move at a time --------------------
+
+F = Fraction
+_A1_BY_MOVE = {3: F(1), 4: F(1, 2), 5: F(1, 5)}
+_A3_BY_MOVE = {  # minor degree -> (weak, semi-weak) -> major degree band
+    3: ((F(1, 5), F(1, 2), F(1), F(19, 10)),
+        (F(1, 10), F(1, 4), F(1, 2), F(1))),
+    4: ((F(1, 5), F(1, 2), F(1, 2), F(1)),
+        (F(1, 10), F(1, 4), F(1, 4), F(1, 2))),
+    5: ((F(1, 5), F(1, 5), F(1, 5), F(2, 5)),
+        (F(1, 10), F(1, 10), F(1, 10), F(1, 5))),
+}
+
+
+def discharge_by_moves(top, state, ledger):
+    """Rules A1, A2, A3, A4 and B applied to copies of ``state``'s
+    charges one move at a time, each move one Fraction subtraction from
+    its source and one addition to its target, recorded in ``ledger``.
+    Returns the (vertex charges, face charges) after each rule."""
+    charges = {"v": dict(state.vertex_charge), "f": dict(state.face_charge)}
+    stages = []
+
+    def move(rule, source, target, amount, note):
+        charges[source[0]][source[1]] -= amount
+        charges[target[0]][target[1]] += amount
+        ledger.record(rule, source, target, amount, note)
+
+    def done():
+        stages.append((dict(charges["v"]), dict(charges["f"])))
+
+    deg, fdeg, types = top.vertex_degrees, top.face_degrees, top.vertex_types
+    for v in top.rs.vertices:
+        for f in top.vertex_faces[v]:
+            if deg[v] >= 4 and fdeg[f] in _A1_BY_MOVE:
+                move("A1", ("v", v), ("f", f), _A1_BY_MOVE[fdeg[f]],
+                     "deg(v)=%d deg(a)=%d" % (deg[v], fdeg[f]))
+    done()
+    for v in top.rs.vertices:
+        if deg[v] >= 4 and types[v].count(6) >= 2 and 3 in types[v]:
+            for f in top.vertex_faces[v]:
+                if fdeg[f] == 3:
+                    move("A2", ("v", v), ("f", f), F(1, 10),
+                         "deg(v)=%d three-face with two six-faces" % deg[v])
+    done()
+    for e in top.rs.edges:
+        f1, f2 = top.edge_faces[e]
+        if f1 == f2:
+            raise StructureError("edge %r has one face" % (e,))
+        kind = top.classify_edge(e)
+        for minor, major in ((f1, f2), (f2, f1)):
+            if kind != "normal" and 3 <= fdeg[minor] <= 5 and fdeg[major] >= 7:
+                band = sum(fdeg[major] >= lo for lo in (9, 13, 2519))
+                amount = _A3_BY_MOVE[fdeg[minor]][kind != "weak"][band]
+                move("A3", ("f", major), ("f", minor), amount,
+                     "%s edge %s deg(a)=%d deg(a')=%d"
+                     % (kind, e, fdeg[minor], fdeg[major]))
+    done()
+    for f, walk in enumerate(top.faces):
+        k = fdeg[f]
+        for v in walk.vertex_sequence:
+            amount = {(3, 3, 4, k): F(1, 2), (3, 3, 5, k): F(1, 5)}.get(
+                types[v])
+            if k >= 2519 and amount is not None:
+                move("A4", ("f", f), ("v", v), amount,
+                     "type %r with k=%d" % (types[v], k))
+    done()
+    for f, walk in enumerate(top.faces):
+        share = charges["f"][f] / walk.degree
+        if fdeg[f] >= 7 and share != 0:
+            for v in walk.vertex_sequence:
+                move("B", ("f", f), ("v", v), share,
+                     "deg(a)=%d share of c*" % walk.degree)
+    done()
+    return stages
+
+
+def audit_by_moves(top, after_a, final):
+    """The Lemma audit's fields, from after-A face charges and final
+    vertex charges, each bound built as the bounds were first written."""
+    def bound(d):
+        if d <= 6:
+            return F(0)
+        if d <= 12:
+            return (F(2, 5), F(6, 5), F(1), F(3, 2), F(5, 2), F(3))[d - 7]
+        return F(d, 21)
+    lemma1 = tuple((f, d, after_a[f], bound(d))
+                   for f, d in enumerate(top.face_degrees)
+                   if after_a[f] < bound(d))
+    lemma2 = tuple((v, final[v]) for v in top.rs.vertices
+                   if final[v] < F(1, 21))
+    scan = scan_theorem2(top, check_polyhedral(top))
+    violated = bool(lemma1 or lemma2)
+    return (lemma1, lemma2, len(scan.light), scan.hypotheses_met,
+            violated and not scan.light and scan.hypotheses_met)
 
 # -- maps built by hand for edge cases ------------------------------------
 

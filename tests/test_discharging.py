@@ -1,5 +1,6 @@
 """Charge initialization, transfer rules, conservation, and the audit."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import check_polyhedral
 
-from conftest import antiprism, drum, medial, perturb, seeded_rng, subdivide
+from conftest import (antiprism, audit_by_moves, discharge_by_moves, drum,
+                      medial, perturb, seeded_rng, subdivide)
 
 F = Fraction
 
@@ -88,6 +90,77 @@ def test_total_is_the_plain_sum_at_every_stage(corpus, corpus_tops):
     for top in tops + mutants:
         for total, plain in _totals_at_every_stage(top):
             assert type(total) is F and total == plain
+
+
+def _huge_face_map():
+    """An antiprism over a 2519-gon with one bottom edge subdivided once
+    and another twice: (3,3,4,huge) and (3,3,5,huge) vertices on both
+    huge faces."""
+    rs = subdivide(antiprism(HUGE), "w0000~w0001", 1)
+    return subdivide(rs, "w0007~w0008", 2)
+
+
+def _rules_match_the_moves(top, state):
+    """Apply the five rules to ``state`` and to the one-move-at-a-time
+    oracle: equal charges, every one a Fraction, after each rule and
+    equal ledgers in the same order.  Returns the oracle's stages."""
+    ledger, by_moves = TransferLedger(), TransferLedger()
+    stages = discharge_by_moves(top, state, by_moves)
+    for rule, (vertex, face) in zip(_A_RULES + (apply_rule_b,), stages):
+        state = rule(state, top, ledger)
+        for got, want in ((state.vertex_charge, vertex),
+                          (state.face_charge, face)):
+            assert got == want
+            assert {type(c) for c in got.values()} <= {F}
+    assert ledger.entries == by_moves.entries
+    return stages
+
+
+def test_rules_match_one_fraction_move_at_a_time(corpus):
+    """Moving charge in 20ths per target and B's shares per denominator
+    gives the charges, ledger and audit of one Fraction move per entry,
+    on the corpus, 30 seeded perturb mutants that the rules accept, the
+    kagome torus (rule A2) and the huge-face map (rule A4); and the
+    charges and ledger on the A3 band drums."""
+    rng = seeded_rng(2626)
+    names = sorted(corpus)
+    mutants = []
+    while len(mutants) < 30:
+        rs = perturb(corpus[names[rng.randrange(len(names))]], rng,
+                     moves=rng.randint(1, 3))
+        try:
+            run_discharge(topology(rs))
+        except StructureError:
+            continue
+        mutants.append(rs)
+    rules = set()
+    for rs in [*corpus.values(), medial(hex_torus(3, 3)), _huge_face_map(),
+               *mutants]:
+        top = topology(rs)
+        stages = _rules_match_the_moves(top, initial_charges(top))
+        final, ledger, audit = run_discharge(top)
+        assert (final.vertex_charge, final.face_charge) == stages[-1]
+        assert dataclasses.astuple(audit) == audit_by_moves(
+            top, stages[3][1], stages[4][0])
+        rules |= {e.rule for e in ledger.entries}
+    assert rules == {"A1", "A2", "A3", "A4", "B"}
+    for major in (8, 9, 12, 13, 2518, 2519):
+        for apex, pegged in itertools.product((1, 3), (False, True)):
+            top = topology(drum(major, apex, pegged))
+            _rules_match_the_moves(top, initial_charges(top))
+
+
+def test_rules_match_the_moves_off_twentieths(trunc_hex):
+    """A caller's state with sevenths in it: the rules still move charge
+    exactly, and rule B's shares carry the sevenths onto the vertices."""
+    top = trunc_hex[0]
+    state = initial_charges(top)
+    major = top.face_degrees.index(12)
+    state.vertex_charge[top.rs.vertices[0]] += F(1, 7)
+    state.face_charge[major] += F(1, 7)
+    state.face_charge[major + 1] -= F(2, 7)
+    stages = _rules_match_the_moves(top, state)
+    assert {c.denominator for c in stages[-1][0].values()} >= {7 * 12}
 
 
 def test_check_total_catches_a_charge_off_by_a_twelfth(trunc_hex):
@@ -235,10 +308,7 @@ def test_a4_on_huge_faces():
     and another twice, has genuine (3,3,4,huge) and (3,3,5,huge) vertices
     on both huge faces."""
     n = HUGE
-    rs = antiprism(n)
-    rs = subdivide(rs, "w0000~w0001", 1)
-    rs = subdivide(rs, "w0007~w0008", 2)
-    top = topology(rs)
+    top = topology(_huge_face_map())
     assert top.vertex_type("u0000") == (3, 3, 4, n)
     assert top.vertex_type("u0007") == (3, 3, 5, n)
     assert top.vertex_type("w0000") == (3, 3, 4, n + 3)

@@ -19,7 +19,7 @@ import polymap.curvature_light
 import polymap.report
 import polymap.validity
 from conftest import drum
-from polymap.cli import main
+from polymap.cli import _build_parser, main
 from polymap.curvature_light import curvature, match_light, scan_theorem2
 from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
                                 truncate)
@@ -143,6 +143,14 @@ def _like_keyed_dicts(values):
             dict.fromkeys(keys, values))))
 
 
+def _lists_of_lists(values):
+    # lists of lists of one length (empty ones too), and ragged ones
+    return st.one_of(
+        st.integers(0, 3).flatmap(lambda n: st.lists(
+            st.lists(values, min_size=n, max_size=n))),
+        st.lists(st.lists(values, max_size=3)))
+
+
 def _json_containers(children):
     return st.one_of(
         st.lists(children), st.lists(children).map(tuple),
@@ -151,7 +159,8 @@ def _json_containers(children):
         st.lists(_json_strings), st.lists(_json_ints),
         st.dictionaries(_json_strings, _json_strings),
         _like_keyed_dicts(_json_strings), _like_keyed_dicts(_json_ints),
-        _like_keyed_dicts(children))
+        _like_keyed_dicts(children), _lists_of_lists(_json_strings),
+        _lists_of_lists(_json_ints), _lists_of_lists(children))
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
@@ -160,7 +169,8 @@ def _json_containers(children):
 def test_render_json_is_the_stdlib_indent_layout(doc):
     """The report's JSON writer gives ``json.dumps(indent=2)``'s bytes on
     nested dicts (int keys too), lists and tuples (empty ones too), lists
-    of dicts with one key tuple, strings with non-ASCII and control
+    of dicts with one key tuple, lists of lists of one length or ragged
+    (empty inner lists too), strings with non-ASCII and control
     characters, quotes, backslashes and %, negative and wide ints, bools,
     None and Fractions."""
     assert render_json(doc) == json.dumps(doc, indent=2,
@@ -368,6 +378,37 @@ def test_options_a_command_does_not_use_are_rejected(capsys, monkeypatch,
         main(argv)
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, hex33_file):
+    """The parser is built once per process, and no call's options,
+    errors or help leak into the next call."""
+    assert _build_parser() is _build_parser()
+
+    def run(argv):
+        try:
+            return run_cli(capsys, monkeypatch, argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return "exit %s" % exc.code, captured.out, captured.err
+
+    code, out, _ = run(["analyze", hex33_file, "--format", "json"])
+    assert code == 0 and json.loads(out)["light"]["light_count"] == 18
+    code, out, _ = run(["analyze", hex33_file])
+    assert code == 0 and "light_count: 18\n" in out
+    code, out, _ = run(["transfer", hex33_file, "--sweep", "--max-n", "3"])
+    assert code == 0 and "value:" in out
+    code, _, err = run(["transfer", hex33_file, "--n", "2", "--max-n", "3"])
+    assert code == "exit 2" and "only allowed with argument --sweep" in err
+    code, _, err = run(["check", hex33_file, "--n", "2"])
+    assert code == "exit 2" and "unrecognized arguments: --n 2" in err
+    code, out, err = run(["check", hex33_file])
+    assert (code, err) == (0, "") and "polyhedral: true\n" in out
+    code, out, _ = run(["--help"])
+    assert code == "exit 0" and out.startswith("usage: polymap")
+    code, out, err = run(["check", hex33_file, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["validity"]["polyhedral"] is True
 
 
 @pytest.mark.parametrize("argv", [
