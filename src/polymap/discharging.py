@@ -8,10 +8,10 @@ amounts keyed only on degrees; stage B empties every major face
 (degree >= 7) equally onto its vertex incidences.
 
 Every charge, ledger amount and total a caller sees is a
-``fractions.Fraction``; floats never appear here.  Inside, each A rule
-moves charge in whole 20ths (every stage-A amount is one) and adds each
-charge's summed int delta to it as one Fraction; rule B sums each
-vertex's shares as ints per denominator.  The A rules commute (their
+``fractions.Fraction``; floats never appear here.  Every rule moves
+charge through one routine, which records each move in the ledger,
+sums the moved numerators as ints per charge and denominator, and adds
+each sum to its charge as one Fraction.  The A rules commute (their
 amounts never read current charges), so they may be applied in any
 order before rule B; the canonical pipeline in :func:`run_discharge`
 runs A1, A2, A3, A4, B and asserts conservation after every step.
@@ -30,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .curvature_light import DEGREE_CAP, scan_theorem2
 from .errors import StructureError
@@ -54,15 +55,12 @@ __all__ = [
 # switch to their last band): just past the light table's cap.
 HUGE = DEGREE_CAP + 1
 
-# Stage-A amounts are in 20ths.
 # Rule A1: vertex of degree >= 4 pays each incident face of degree 3/4/5.
-_A1_AMOUNT = {3: 20, 4: 10, 5: 4}
+_A1_AMOUNT = {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}
 # Rule A2: the extra amount to each 3-face.
-_A2_AMOUNT = 2
+_A2_AMOUNT = Fraction(1, 10)
 # Rule A4: refund per incident (3,3,4,k)- and (3,3,5,k)-vertex.
-_A4_AMOUNT = {4: 10, 5: 4}
-# The ledger's Fraction for each amount in 20ths.
-_TWENTIETHS = tuple(Fraction(n, 20) for n in range(39))
+_A4_AMOUNT = {4: Fraction(1, 2), 5: Fraction(1, 5)}
 # Lemma 2: the floor on every final vertex charge.
 _LEMMA2_FLOOR = Fraction(1, 21)
 # Lemma 1: the floor on the after-A charge of a face of degree 7..12.
@@ -75,8 +73,15 @@ _ZERO = Fraction(0)
 # 7..8, 9..12, 13..HUGE-1 or from HUGE on: the number of _A3_BANDS <= it.
 _A3_BANDS = (9, 13, HUGE)
 _A3_AMOUNT = {
-    "weak": {3: (4, 10, 20, 38), 4: (4, 10, 10, 20), 5: (4, 4, 4, 8)},
-    "semi_weak": {3: (2, 5, 10, 20), 4: (2, 5, 5, 10), 5: (2, 2, 2, 4)},
+    "weak": {
+        3: (Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(19, 10)),
+        4: (Fraction(1, 5), Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+        5: (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5), Fraction(2, 5))},
+    "semi_weak": {
+        3: (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)),
+        4: (Fraction(1, 10), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+        5: (Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 5)),
+    },
 }
 
 _A_RULES = ("A1", "A2", "A3", "A4")
@@ -125,8 +130,7 @@ class ChargeState:
         )
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     rule: str
     source: tuple  # ("v", vertex id) or ("f", face index)
     target: tuple
@@ -171,16 +175,19 @@ def initial_charges(top):
 
 
 def _transfer(state, ledger, rule, moves):
-    """Record ``moves``, (source, target, 20ths, note) tuples, in order;
-    add each charge's summed int delta to it as one Fraction."""
-    delta = {}
-    for source, target, n, note in moves:
-        ledger.record(rule, source, target, _TWENTIETHS[n], note)
-        delta[source] = delta.get(source, 0) - n
-        delta[target] = delta.get(target, 0) + n
+    """Record ``moves``, (source, target, amount, note) tuples, in order;
+    once all are consumed, add each charge's moved numerators, summed as
+    ints per denominator, to it as one Fraction per denominator."""
+    record = ledger.record
+    delta = {}  # (charge, denominator) -> sum of numerators
+    for source, target, amount, note in moves:
+        record(rule, source, target, amount, note)
+        n, d = amount.as_integer_ratio()
+        delta[source, d] = delta.get((source, d), 0) - n
+        delta[target, d] = delta.get((target, d), 0) + n
     charges = {"v": state.vertex_charge, "f": state.face_charge}
-    for (kind, key), n in delta.items():
-        charges[kind][key] += Fraction(n, 20)
+    for ((kind, key), d), n in delta.items():
+        charges[kind][key] += Fraction(n, d)
     return state
 
 
@@ -250,25 +257,17 @@ def apply_rule_a4(state, top, ledger):
 
 def apply_rule_b(state, top, ledger):
     """Every major face splits its entire charge equally over its vertex
-    incidences and ends at zero."""
+    incidences and ends at zero; a face with a zero share records no
+    move.  The moves are generated while ``_transfer`` consumes them, and
+    it changes no charge before the last, so each share is read from the
+    face's charge before rule B."""
     state = state._advance("B")
-    gains = {}  # vertex -> {denominator: sum of numerators}
     note = cache("deg(a)=%d share of c*".__mod__)
-    for f, walk in enumerate(top.faces):
-        if top.face_degrees[f] < 7:
-            continue
-        share = Fraction(state.face_charge[f], walk.degree)
-        if share == 0:
-            continue
-        state.face_charge[f] -= share * walk.degree
-        n, d, text = share.numerator, share.denominator, note(walk.degree)
-        for v in walk.vertex_sequence:
-            ledger.record("B", ("f", f), ("v", v), share, text)
-            numerators = gains.setdefault(v, {})
-            numerators[d] = numerators.get(d, 0) + n
-    for v, numerators in gains.items():
-        state.vertex_charge[v] += _sum(numerators)
-    return state
+    return _transfer(state, ledger, "B", (
+        (("f", f), ("v", v), share, note(walk.degree))
+        for f, walk in enumerate(top.faces) if top.face_degrees[f] >= 7
+        if (share := Fraction(state.face_charge[f], walk.degree))
+        for v in walk.vertex_sequence))
 
 
 def _sum(numerators):

@@ -9,7 +9,8 @@ Every edge id appears exactly twice in the whole file; the token order
 on a line is the rotation at that vertex; an edge's signature is +1
 exactly when its two occurrences carry the same sign.  ``#`` starts a
 comment, blank lines are skipped, and an optional ``surface:`` line may
-carry a free-form hint, which parsing ignores.
+carry a free-form hint, which parsing ignores.  One leading byte-order
+mark (U+FEFF) is dropped.
 
 Serialisation writes vertices in sorted order and signs each edge's
 first occurrence ``+``, so ``parse_map(serialize_map(rs))`` reproduces
@@ -38,6 +39,7 @@ def parse_map(text):
     """Build a RotationSystem from the text format above."""
     rotation = {}
     occurrences = {}
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

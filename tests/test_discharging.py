@@ -117,11 +117,13 @@ def _rules_match_the_moves(top, state):
 
 
 def test_rules_match_one_fraction_move_at_a_time(corpus):
-    """Moving charge in 20ths per target and B's shares per denominator
-    gives the charges, ledger and audit of one Fraction move per entry,
-    on the corpus, 30 seeded perturb mutants that the rules accept, the
-    kagome torus (rule A2) and the huge-face map (rule A4); and the
-    charges and ledger on the A3 band drums."""
+    """Summing each charge's moved numerators per denominator gives the
+    charges, ledger and audit of one Fraction move per entry, on the
+    corpus, 30 seeded perturb mutants that the rules accept, the kagome
+    torus (rule A2) and the huge-face map (rule A4); and the charges and
+    ledger on the A3 band drums, where the 7-gons of drum(7, ...) and
+    the 10-gons of drum(10, 1, ...) end stage A at exactly 0, so rule B
+    moves nothing from them."""
     rng = seeded_rng(2626)
     names = sorted(corpus)
     mutants = []
@@ -144,7 +146,7 @@ def test_rules_match_one_fraction_move_at_a_time(corpus):
             top, stages[3][1], stages[4][0])
         rules |= {e.rule for e in ledger.entries}
     assert rules == {"A1", "A2", "A3", "A4", "B"}
-    for major in (8, 9, 12, 13, 2518, 2519):
+    for major in (7, 8, 9, 10, 12, 13, 2518, 2519):
         for apex, pegged in itertools.product((1, 3), (False, True)):
             top = topology(drum(major, apex, pegged))
             _rules_match_the_moves(top, initial_charges(top))

@@ -43,6 +43,8 @@ def test_unicode_minus_and_comments():
     )
     rs = parse_map(text)
     assert rs.signature == {"e": -1, "f": 1}
+    # one leading byte-order mark, as some editors write, is dropped
+    assert parse_map("\ufeff" + text) == rs
     # the serialised form normalises to ASCII signs and drops comments
     text2 = serialize_map(rs)
     assert "\u2212" not in text2 and "#" not in text2

@@ -263,21 +263,25 @@ def test_discharge_json(capsys, monkeypatch, tmp_path):
     assert len(discharge["transfers"]) == 162
 
 
-@pytest.mark.parametrize("command,builder,digest", [
-    ("discharge", lambda: truncate(hex_klein(3, 3)),
+@pytest.mark.parametrize("command,fmt,builder,digest", [
+    ("discharge", "json", lambda: truncate(hex_klein(3, 3)),
      "e001b206bb4bd84760feea498a0adf89a63bf6de055c6b9a500ececefb92076e"),
-    ("discharge", lambda: tri_torus(4, 4),
+    ("discharge", "json", lambda: tri_torus(4, 4),
      "9810de77a36ec986a571cc5c5816d6231cfb2fde6a3357b67acae0ec57ddd0a7"),
-    ("analyze", lambda: hex_klein(3, 3),
+    ("analyze", "json", lambda: hex_klein(3, 3),
      "856606ab538b221e31da6663031b1c07bac0c59058698ae66b3eb857ff2999c7"),
-], ids=["discharge-truncated-klein", "discharge-tri-torus", "analyze-klein"])
+    ("discharge", "text", lambda: truncate(hex_klein(3, 3)),
+     "ef1b02af9ee2e4ad0a016d6730061aac58539ac7c88f913d94756d44502afdb6"),
+], ids=["discharge-truncated-klein", "discharge-tri-torus", "analyze-klein",
+        "discharge-text-truncated-klein"])
 def test_json_reports_are_byte_identical(capsys, monkeypatch, tmp_path,
-                                         command, builder, digest):
-    """Pins face order, walk direction and ledger order of whole reports."""
+                                         command, fmt, builder, digest):
+    """Pins face order, walk direction and ledger order of whole reports,
+    and the text layout of one."""
     path = tmp_path / "m.map"
     path.write_text(serialize_map(builder()), encoding="utf-8")
     code, out, _ = run_cli(capsys, monkeypatch,
-                           [command, str(path), "--format", "json"])
+                           [command, str(path), "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
