@@ -105,15 +105,12 @@ def serialize_map(rs):
                     "%s id %r cannot be written: ids must be non-empty and "
                     "free of whitespace and '#', vertex ids also of ':'"
                     % (kind, ident))
-    seen = set()
+    # construction makes each edge's first occurrence in this scan end 0
+    sig = rs.signature
     lines = []
     for v in rs.vertices:
         tokens = []
-        for d in rs.rotation[v]:
-            if d.edge not in seen:
-                seen.add(d.edge)
-                tokens.append(d.edge + "+")
-            else:
-                tokens.append(d.edge + ("+" if rs.signature[d.edge] == 1 else "-"))
+        for e, end in rs.rotation[v]:
+            tokens.append(e + ("+" if end == 0 or sig[e] == 1 else "-"))
         lines.append("v %s: %s" % (v, " ".join(tokens)))
     return "\n".join(lines) + "\n"

@@ -294,18 +294,18 @@ class MapTopology:
     def __init__(self, rs):
         self.rs = rs
         # Dart tables indexed by dart id 2 * rank(edge) + end: the Dart,
-        # its vertex, its rotation position, successor and predecessor.
+        # its vertex, its rotation successor and predecessor.
         rank = {e: r for r, e in enumerate(rs.edges)}
         num = 2 * len(rank)
         dart, vertex = [None] * num, [None] * num
-        pos, succ, pred = [0] * num, [0] * num, [0] * num
+        succ, pred = [0] * num, [0] * num
         rows = []
         for v in rs.vertices:
             row = rs.rotation[v]
             ids = [2 * rank[e] + end for e, end in row]
             prev = ids[-1]
-            for t, i in enumerate(ids):
-                dart[i], vertex[i], pos[i] = row[t], v, t
+            for d, i in zip(row, ids):
+                dart[i], vertex[i] = d, v
                 pred[i], succ[prev] = prev, i
                 prev = i
             rows.append(ids)
@@ -330,7 +330,7 @@ class MapTopology:
                 if corner[c] >= 0:
                     raise StructureError(
                         "corner %d of vertex %r traced twice"
-                        % (pos[c], vertex[c]))
+                        % (rs.rotation[vertex[c]].index(dart[c]), vertex[c]))
                 corner[c] = idx
         vertex_faces = {v: tuple([corner[i] for i in ids])
                         for v, ids in zip(rs.vertices, rows)}

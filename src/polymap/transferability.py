@@ -767,9 +767,9 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     empty (``_first_sink``).  Building levels 1..n is charged their
     states, which are exactly the extensions of an exhaustive search,
     so a chain within the budget gives the search's witness or None;
-    when the budget refuses the chain, the depth-first search resumes
-    from the second start with the first start's count and stops or
-    raises where the whole search would.
+    when the budget refuses the chain, the depth-first search runs
+    again over all starts, the first one included: it is the whole
+    search, so it stops or raises where the whole search does.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
@@ -782,28 +782,29 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
         starts = sorted(starts, key=lambda i: (dist[i], i))
     if n >= len(space.names):
         return None
-    path, count = _search_stuck(adj, n, starts[:1], budget, 0)
+    path = _search_stuck(adj, n, starts[:1], budget)
     if path is None:
         try:
             chain = _grow(space, n, budget)
         except BudgetError:
-            path = _search_stuck(adj, n, starts[1:], budget, count)[0]
+            path = _search_stuck(adj, n, starts, budget)
         else:
             path = _first_sink(chain, starts[1:])
     return None if path is None else \
         StuckWitness(path=space.decode(path), anchor=anchor)
 
 
-def _search_stuck(adj, n, starts, budget, count):
+def _search_stuck(adj, n, starts, budget):
     """Depth-first search for a stuck n-path from each of ``starts`` in
-    turn, ``count`` extensions already charged: the first one's vertex
-    indices, or None, and the extensions charged by then.
+    turn, every extension charged against ``budget``: the first one's
+    vertex indices, or None.
 
     The path is a list with an on-path flag per vertex and one
     neighbour iterator per depth.  The n-path ``path + [w]`` is stuck
     iff every neighbour of w is on the path and is not its tail.
     """
     on_path = bytearray(len(adj))
+    count = 0
     for s in starts:
         path = [s]
         on_path[s] = 1
@@ -824,35 +825,31 @@ def _search_stuck(adj, n, starts, budget, count):
                     if not on_path[x] or x == s:
                         break
                 else:
-                    return path + [w], count
+                    return path + [w]
             else:
                 nexts.pop()
                 on_path[path.pop()] = 0
-    return None, count
+    return None
 
 
 def _first_sink(level, starts):
     """Vertex indices of the first state of ``level`` with no move,
     taking its tail runs (``_bounds``) in the order of ``starts`` and
     each in index order, or None.  A state is a sink iff the block of
-    its suffix is empty, so the dead ends (``_sizes`` 0) make a mask over
-    suffixes, and each tail run is scanned, one interval of suffixes per
-    run it meets, for a suffix in it."""
-    sizes = level._sizes
-    dead_ends = _matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
-                         len(sizes))
-    if not dead_ends:
+    its suffix is empty, a dead end (``_sizes`` 0): with none in the
+    whole array there is no sink, and otherwise each tail run is
+    byte-searched, one interval of suffixes per run it meets, for one."""
+    raw, zero = level._sizes.tobytes(), bytes(level._sizes.itemsize)
+    if not _matches(raw, zero, 0, len(level._sizes)):
         return None
-    dead = bytearray(len(sizes))
-    for b in dead_ends:
-        dead[b] = 1
     bounds = level._bounds
     for v in starts:
         a = bounds[v]
         for r in _suffixes(level._runs, a, bounds[v + 1]):
-            c = dead.find(1, r.start, r.stop)
-            if c >= 0:
-                return [walk[0] for walk in level._walks([a + c - r.start])]
+            dead = _matches(raw, zero, r.start, r.stop)
+            if dead:
+                sink = a + dead[0] - r.start
+                return [walk[0] for walk in level._walks([sink])]
             a += len(r)
     return None
 

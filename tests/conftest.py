@@ -803,5 +803,34 @@ def perturb(rs, rng, moves=2):
     return RotationSystem(rot, sig)
 
 
+def regular_map(x, y):
+    """The regular map of two permutations, given as tuples: the darts
+    are the elements of the group <x, y>, closed by breadth-first search
+    from the identity and numbered in that order; the vertex of dart g
+    is its x-orbit g, gx, gx^2, ... in rotation order, and an edge joins
+    g and gy.  All signatures are +1, so the map is orientable."""
+    def times(g, h):  # g then h
+        return tuple(h[i] for i in g)
+
+    darts = [tuple(range(len(x)))]
+    number = {darts[0]: 0}
+    for g in darts:
+        for h in (times(g, x), times(g, y)):
+            if h not in number:
+                number[h] = len(darts)
+                darts.append(h)
+    rotation, placed = {}, set()
+    for g in darts:
+        if g in placed:
+            continue
+        row, h = [], g
+        while h not in placed:
+            placed.add(h)
+            row.append("e%04d" % min(number[h], number[times(h, y)]))
+            h = times(h, x)
+        rotation["v%04d" % number[g]] = row
+    return RotationSystem(rotation)
+
+
 def seeded_rng(salt):
     return random.Random(20260817 ^ salt)

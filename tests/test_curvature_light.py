@@ -104,6 +104,9 @@ def test_spot_patterns():
     assert match_light((3,) * 7) is None
     # matching ignores input order
     assert match_light((2518, 12, 3)) is not None
+    # a bounded last entry, and a row that allows any last entry
+    assert match_light((3, 12, 12)).label() == "(3,12,<=2518)"
+    assert match_light((3, 3, 9)).label() == "(3,3,any)"
 
 
 def test_scan_verdicts(corpus_tops):

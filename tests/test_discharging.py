@@ -229,10 +229,16 @@ def test_stage_gating(trunc_hex):
     with pytest.raises(StructureError):
         apply_rule_b(state, top, TransferLedger())  # B before the A rules
     state = apply_rule_a1(state, top, TransferLedger())
+    assert state.stage == "stage_A"
     with pytest.raises(StructureError):
         apply_rule_a1(state, top, TransferLedger())  # same rule twice
     for rule in (apply_rule_a2, apply_rule_a3, apply_rule_a4):
         state = rule(state, top, TransferLedger())
+    assert state.stage == "after_A"
+    after_b = dataclasses.replace(initial_charges(top),
+                                  applied=frozenset({"B"}))
+    with pytest.raises(StructureError, match="stage A rule A1 after rule B"):
+        apply_rule_a1(after_b, top, TransferLedger())
     state = apply_rule_b(state, top, TransferLedger())
     with pytest.raises(StructureError):
         apply_rule_a2(state, top, TransferLedger())  # A after B

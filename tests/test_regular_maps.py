@@ -1,0 +1,104 @@
+"""Klein's regular maps {3,7} and {7,3} and their truncations: the first
+polyhedral test maps with chi < 0.
+
+PSL(2,7) acts on the projective line over F_7, points 0..6 and 7 for
+infinity.  With x: z -> z + 1 and y: z -> -1/z, rotating by x gives
+{3,7} (V = 24) and rotating by xy gives {7,3} (V = 56); both lie on the
+genus-3 surface, chi = -4, so V <= 126|chi| and the theorem's size
+hypothesis fails.  The maps stay out of ``full_corpus``, whose members
+seed other tests' random draws.
+"""
+
+import pytest
+
+from conftest import regular_map, trace_by_dart_states
+from polymap.curvature_light import gauss_bonnet_sum, scan_theorem2
+from polymap.discharging import initial_charges, run_discharge
+from polymap.generators import truncate
+from polymap.mapfile import parse_map, serialize_map
+from polymap.surface_map import topology
+from polymap.transferability import find_stuck, transferability
+from polymap.validity import check_polyhedral
+
+_Q = 7
+_X = tuple((z + 1) % _Q if z < _Q else _Q for z in range(_Q + 1))
+_Y = tuple(_Q if z == 0 else 0 if z == _Q else -pow(z, -1, _Q) % _Q
+           for z in range(_Q + 1))
+_XY = tuple(_Y[z] for z in _X)  # x then y
+
+
+def _klein_maps():
+    maps = {"{3,7}": regular_map(_X, _Y), "{7,3}": regular_map(_XY, _Y)}
+    for name in list(maps):
+        maps["tr" + name] = truncate(maps[name])
+    return maps
+
+
+_MAPS = _klein_maps()
+
+
+# V, E, F and the one vertex type of each map
+_PINS = {
+    "{3,7}": ((24, 84, 56), (3,) * 7),
+    "{7,3}": ((56, 84, 24), (7, 7, 7)),
+    "tr{3,7}": ((168, 252, 80), (6, 6, 7)),
+    "tr{7,3}": ((168, 252, 80), (3, 14, 14)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_klein_maps(name):
+    """Counts, surface, polyhedrality, curvature and the light scan, then
+    the identities of the test suite: the face trace equals the
+    (dart, side) oracle, parse and serialize round trip, truncation
+    keeps the surface, and a wheel neighborhood brings 3-connectivity
+    and closed 2-cell faces."""
+    rs = _MAPS[name]
+    counts, vertex_type = _PINS[name]
+    top = topology(rs)
+    assert (top.num_vertices, top.num_edges, top.num_faces) == counts
+    assert set(top.vertex_types.values()) == {vertex_type}
+    assert (top.euler_characteristic, top.orientable) == (-4, True)
+    report = check_polyhedral(top)
+    assert report.polyhedral
+    assert report.wheel_neighborhood and report.three_connected \
+        and report.closed_2cell
+    assert gauss_bonnet_sum(top) == -4
+    scan = scan_theorem2(top, report)
+    assert (scan.light, scan.hypotheses_met, scan.verdict) == \
+        ((), False, "hypotheses-not-met")
+
+    oracle = trace_by_dart_states(rs)
+    assert (top.faces, top.vertex_faces, top.edge_faces) == \
+        (oracle.faces, oracle.vertex_faces, oracle.edge_faces)
+    text = serialize_map(rs)
+    assert parse_map(text) == rs and serialize_map(parse_map(text)) == text
+    ttop = topology(truncate(rs))
+    assert (ttop.euler_characteristic, ttop.orientable) == (-4, True)
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_klein_maps_discharge(name):
+    """The charge, -6 chi = 24, is conserved through every rule, the
+    ledger replays onto the final charges exactly, and neither lemma
+    bound is violated."""
+    top = topology(_MAPS[name])
+    state, ledger, audit = run_discharge(top)
+    assert state.total() == 24
+    replayed = ledger.replay(initial_charges(top))
+    assert replayed.vertex_charge == state.vertex_charge
+    assert replayed.face_charge == state.face_charge
+    assert (audit.lemma1_violations, audit.lemma2_violations,
+            audit.light_count, audit.contradiction) == ((), (), 0, False)
+
+
+def test_truncated_73_is_14_transferable():
+    """tr{7,3} has value 14 over n = 1..15: n = 15 splits into 1 345
+    components, a 15-path is stuck and no 14-path is."""
+    graph = _MAPS["tr{7,3}"].adjacency()
+    result = transferability(graph, 15)
+    assert result.value == 14
+    assert [row.transferable for row in result.per_n] == [True] * 14 + [False]
+    assert result.per_n[-1].scc_count == 1345
+    assert find_stuck(graph, 15) is not None
+    assert find_stuck(graph, 14) is None

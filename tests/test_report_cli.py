@@ -51,6 +51,7 @@ def test_fraction_str():
     assert fraction_str(Fraction(19, 10)) == "19/10"
     assert fraction_str(0) == "0/1"
     assert fraction_str(-4) == "-4/1"
+    assert fraction_str(0.5) == "1/2"
 
 
 def test_render_text_shapes():
@@ -137,8 +138,9 @@ _json_leaves = st.one_of(
 
 
 def _like_keyed_dicts(values):
-    # lists of dicts that share one key tuple
-    return st.lists(_json_strings, max_size=4, unique=True).flatmap(
+    # lists of dicts that share one key tuple, of str or int keys
+    keys = st.one_of(_json_strings, st.integers())
+    return st.lists(keys, max_size=4, unique=True).flatmap(
         lambda keys: st.lists(st.fixed_dictionaries(
             dict.fromkeys(keys, values))))
 
@@ -166,13 +168,14 @@ def _json_containers(children):
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
 @hypothesis.given(st.recursive(_json_leaves, _json_containers,
                                max_leaves=20))
+@hypothesis.example([{1: "a"}, {1: "b"}])
 def test_render_json_is_the_stdlib_indent_layout(doc):
     """The report's JSON writer gives ``json.dumps(indent=2)``'s bytes on
     nested dicts (int keys too), lists and tuples (empty ones too), lists
-    of dicts with one key tuple, lists of lists of one length or ragged
-    (empty inner lists too), strings with non-ASCII and control
-    characters, quotes, backslashes and %, negative and wide ints, bools,
-    None and Fractions."""
+    of dicts with one key tuple (int keys too), lists of lists of one
+    length or ragged (empty inner lists too), strings with non-ASCII and
+    control characters, quotes, backslashes and %, negative and wide
+    ints, bools, None and Fractions."""
     assert render_json(doc) == json.dumps(doc, indent=2,
                                           default=_json_fallback) + "\n"
 

@@ -10,8 +10,8 @@ import networkx
 import pytest
 
 from polymap.errors import BudgetError, StructureError
-from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
-                                truncate)
+from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
+                                tri_torus, truncate)
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
@@ -79,6 +79,8 @@ def test_steps_examples():
     assert [s.vertices for s in steps(c5, q)] == [("c1", "c2", "c3")]
     with pytest.raises(StructureError):
         steps(c5, PathState(("c0", "c2")))  # not a path in this graph
+    with pytest.raises(StructureError, match="at least one edge"):
+        steps(c5, PathState(("c0",)))  # a 0-edge path has no move
 
 
 def test_enumerate_paths():
@@ -582,6 +584,51 @@ def test_levels_hold_vertices_past_16_bits():
         ("p9999", "p9998", "p9997")
 
 
+def test_wide_levels_answer_alike(monkeypatch):
+    """Forced to the wide typecode of more than 65 536 vertices, the
+    levels give the same sweeps, stuck searches (refused chains too),
+    DOT lines, states and component counts on three cubic maps and K7,
+    and the chain readers still match the copying oracle."""
+    cases = [(truncate(hex_torus(3, 3)), 13, 10),
+             (truncate(tri_torus(4, 4)), 10, 6),
+             (truncate(tetrahedron()), 11, 7), (k7_torus(), 6, 4)]
+
+    def refused(graph, n, anchor):
+        # a budget one short of the chain: the search reruns from scratch
+        chain = build_transfer_digraph(graph, n)._levels()
+        try:
+            return find_stuck(graph, n, anchor,
+                              sum(level.state_count for level in chain) - 1)
+        except BudgetError as exc:
+            return str(exc), exc.count
+
+    def answers():
+        out = []
+        for rs, max_n, dot_n in cases:
+            graph = rs.adjacency()
+            anchor = max(graph)
+            dg = build_transfer_digraph(graph, dot_n)
+            out.append((transferability(graph, max_n),
+                        [find_stuck(graph, n) for n in range(1, max_n + 1)],
+                        [refused(graph, n, anchor) for n in (max_n - 1,
+                                                              max_n)],
+                        list(dg.dot_lines()), dg.state_at(-1),
+                        dg.scc_summary()))
+        return out
+
+    narrow = answers()
+    init = _Space.__init__
+
+    def wide(self, graph):
+        init(self, graph)
+        self.typecode = "l"
+
+    monkeypatch.setattr(_Space, "__init__", wide)
+    assert build_transfer_digraph(cycle_graph(5), 2)._head.typecode == "l"
+    assert answers() == narrow
+    test_chain_readers_match_the_copying_oracle()
+
+
 def test_dot_lines_join_to_to_dot():
     for graph, n in ((complete_graph(4), 2), (petersen_graph(), 3),
                      (cycle_graph(5), 1)):
@@ -771,12 +818,12 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
         monkeypatch):
     """Past the first start ``find_stuck`` reads the level chain, charged
     every state of levels 1..n, and when the budget refuses the chain
-    the depth-first search resumes from the second start.  Where only a
-    later start has a stuck path, a budget of exactly the extensions a
-    depth-first search makes up to it returns the default witness, and
-    one less raises with that count.  The cases take every route: a
-    witness from the first start, one from the chain, a chain with none
-    and a refused chain."""
+    the depth-first search runs again over all starts, the first one
+    included.  Where only a later start has a stuck path, a budget of
+    exactly the extensions a depth-first search makes up to it returns
+    the default witness, and one less raises with that count.  The
+    cases take every route: a witness from the first start, one from
+    the chain, a chain with none and a refused chain."""
     module = sys.modules[transferability.__module__]
     grow, first_sink = module._grow, module._first_sink
     routes, taken, later = [], set(), 0
