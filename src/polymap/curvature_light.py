@@ -160,12 +160,12 @@ def gauss_bonnet_sum(top):
 def match_light(vertex_type):
     """First table row matching the (sorted) type, or None.
 
-    The input may arrive in any order; it is sorted before matching, so
-    permutations of the same multiset always agree.
+    The input may arrive in any order; it is sorted once before the
+    rows are tried, so permutations of the same multiset always agree.
+    Each row's ``matches`` rejects a type of another length, so a type
+    of degree below 3 or above 6 matches no row.
     """
     vt = sorted(vertex_type)
-    if not 3 <= len(vt) <= 6:
-        return None
     for row in LIGHT_TABLE:
         if row.matches(vt):
             return row

@@ -14,9 +14,10 @@ mark (U+FEFF) is dropped.
 
 Serialisation writes vertices in sorted order and signs each edge's
 first occurrence ``+``, so ``parse_map(serialize_map(rs))`` reproduces
-``rs`` exactly; ids therefore must not contain whitespace or ``#``, and
-vertex ids must not contain ``:``.  Parsing rejects a vertex id with
-inner whitespace by the same rule that serialising applies.
+``rs`` exactly; ids therefore must be non-empty strings without
+whitespace or ``#``, and vertex ids must not contain ``:``.  Parsing
+rejects a vertex id with inner whitespace by the same rule that
+serialising applies.
 """
 
 from __future__ import annotations
@@ -36,9 +37,20 @@ _BAD_EDGE_ID = re.compile(r"[\s#]")
 
 
 def parse_map(text):
-    """Build a RotationSystem from the text format above."""
+    """Build a RotationSystem from the text format above.
+
+    Errors are MapFormatErrors with a line number.  A fault on a line
+    (a bad token, a vertex listed twice, an edge's third occurrence) is
+    reported at the first line that has one.  Each edge keeps one
+    record, the line and sign of its first occurrence; its second
+    occurrence sets its signature, and a third is an edge that already
+    has one.  Once every line is read, an edge without a signature
+    appears once, and the smallest such edge is reported at its first
+    line.
+    """
     rotation = {}
-    occurrences = {}
+    first = {}  # edge -> (line, sign) of its first occurrence
+    signature = {}  # set at an edge's second occurrence
     text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -64,11 +76,13 @@ def parse_map(text):
                 raise MapFormatError(
                     "bad edge token %r (want <edge-id>+ or <edge-id>-)"
                     % token, lineno)
-            seen = occurrences.setdefault(edge, [])
-            if len(seen) >= 2:
+            if edge not in first:
+                first[edge] = lineno, sign
+            elif edge in signature:
                 raise MapFormatError(
                     "edge %r appears more than twice" % edge, lineno)
-            seen.append((lineno, sign))
+            else:
+                signature[edge] = 1 if first[edge][1] == sign else -1
             row.append(edge)
         if not row:
             raise MapFormatError("vertex %r has an empty rotation" % vertex,
@@ -76,15 +90,11 @@ def parse_map(text):
         rotation[vertex] = row
     if not rotation:
         raise MapFormatError("no vertex lines found")
-    for edge, seen in sorted(occurrences.items()):
-        if len(seen) != 2:
-            raise MapFormatError(
-                "edge %r appears once; every edge needs two ends" % edge,
-                seen[0][0])
-    signature = {
-        edge: 1 if seen[0][1] == seen[1][1] else -1
-        for edge, seen in occurrences.items()
-    }
+    if len(signature) < len(first):
+        edge = min(first.keys() - signature.keys())
+        raise MapFormatError(
+            "edge %r appears once; every edge needs two ends" % edge,
+            first[edge][0])
     try:
         return RotationSystem(rotation, signature)
     except StructureError as exc:
@@ -95,16 +105,19 @@ def serialize_map(rs):
     """Render a RotationSystem in the text format, scan-order signs.
 
     Raises StructureError for an id the format cannot carry, rather
-    than writing a file that ``parse_map`` would reject.
+    than writing a file that ``parse_map`` would reject or read back
+    differently: an id that is not a ``str`` (the int vertex 1 would
+    parse back as ``'1'``), an empty one, or one with a character that
+    would end it early.
     """
     for kind, ids, bad in (("vertex", rs.vertices, _BAD_VERTEX_ID),
                            ("edge", rs.edges, _BAD_EDGE_ID)):
         for ident in ids:
-            if ident == "" or bad.search(str(ident)):
+            if not isinstance(ident, str) or not ident or bad.search(ident):
                 raise StructureError(
-                    "%s id %r cannot be written: ids must be non-empty and "
-                    "free of whitespace and '#', vertex ids also of ':'"
-                    % (kind, ident))
+                    "%s id %r cannot be written: ids must be non-empty "
+                    "strings free of whitespace and '#', vertex ids also "
+                    "of ':'" % (kind, ident))
     # construction makes each edge's first occurrence in this scan end 0
     sig = rs.signature
     lines = []

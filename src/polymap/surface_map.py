@@ -58,10 +58,12 @@ class RotationSystem:
     """A connected graph with a cyclic dart order per vertex and an edge
     signature: the combinatorial encoding of a map on a closed surface.
 
-    ``rotation_edges`` maps each vertex to the sequence of incident edge
-    ids in rotation order; an edge id must appear exactly twice in the
-    whole system (twice at the same vertex for a loop).  ``signature``
-    maps edge ids to +1 or -1; omitted edges default to +1.
+    ``rotation_edges`` maps each vertex to an iterable of incident edge
+    ids in rotation order, read once (a list, a string, a one-shot
+    iterator); an edge id must appear exactly twice in the whole system
+    (twice at the same vertex for a loop), and a row that gives no id
+    is an empty rotation.  ``signature`` maps edge ids to +1 or -1;
+    omitted edges default to +1.
 
     Dart ends are normalised on construction: scanning vertices in
     sorted order and rotations left to right, the first occurrence of an
@@ -78,17 +80,16 @@ class RotationSystem:
         ends = {}
         rotation = {}
         for v in self.vertices:
-            row = tuple(rotation_edges[v])
-            if not row:
-                raise StructureError("vertex %r has an empty rotation" % (v,))
             darts = []
-            for e in row:
-                at = ends.setdefault(e, [])
+            for e in rotation_edges[v]:
+                at = ends.get(e, ())
                 if len(at) > 1:
                     raise StructureError(
                         "edge %r appears more than twice" % (e,))
                 darts.append(Dart(e, len(at)))
-                at.append(v)
+                ends[e] = at + (v,)
+            if not darts:
+                raise StructureError("vertex %r has an empty rotation" % (v,))
             rotation[v] = tuple(darts)
         bad = sorted(e for e, at in ends.items() if len(at) != 2)
         if bad:
@@ -96,7 +97,7 @@ class RotationSystem:
                 "edge %r must appear exactly twice, found once" % (bad[0],))
         self.rotation = rotation
         self.edges = tuple(sorted(ends))
-        self._ends = {e: tuple(at) for e, at in ends.items()}
+        self._ends = ends
         sig = {e: 1 for e in self.edges}
         for e, s in (signature or {}).items():
             if e not in sig:

@@ -90,7 +90,9 @@ def check_wheel_neighborhood(top):
     2-cell.  On one that is, each walk visits v once, so v's corners lie
     in distinct faces and the walk through corner t runs between spokes
     t and t+1.  Left to check at v: >= 3 spokes, spoke ends distinct and
-    not v, and a simple rim: the spoke ends plus each corner's interior.
+    not v, and a simple rim: the spoke ends plus each corner's interior,
+    all distinct, which ``_wheel_on_closed`` decides by counting the
+    vertices of v's walks.
     """
     closed, witness = check_closed_2cell(top)
     if not closed:
@@ -99,22 +101,27 @@ def check_wheel_neighborhood(top):
 
 
 def _wheel_on_closed(top):
-    """The per-vertex wheel test; assumes a closed 2-cell map."""
+    """The per-vertex wheel test; assumes a closed 2-cell map.
+
+    The rim is counted, not built.  On a closed 2-cell map each of the
+    k walks at v holds v once, the walk of corner t holds spoke ends t
+    and t+1 next to it, and the rest of the walk is the corner's
+    interior.  So the walks have 3k + I entries for I interior ones,
+    and the rim (the k spoke ends, distinct by then, and the I interior
+    entries) is simple exactly when their union has 1 + k + I vertices,
+    that is sum(len) + 1 - 2k.
+    """
     rs = top.rs
     ends = rs._ends
     for v in rs.vertices:
         k = rs.degree(v)
         if k < 3:
             return False, ("wheel", v, "fewer than 3 spokes")
-        rim = [ends[e][1 - end] for e, end in rs.rotation[v]]
-        if v in rim or len(set(rim)) != k:
+        spokes = [ends[e][1 - end] for e, end in rs.rotation[v]]
+        if v in spokes or len(set(spokes)) != k:
             return False, ("wheel", v, "spoke endpoints not distinct")
-        for f in top.vertex_faces[v]:
-            walk = top.faces[f].vertex_sequence
-            i = walk.index(v)
-            # from v: a spoke end, the corner's interior, a spoke end
-            rim.extend((walk[i:] + walk[:i])[2:-1])
-        if len(set(rim)) != len(rim):
+        walks = [top.faces[f].vertex_sequence for f in top.vertex_faces[v]]
+        if len(set().union(*walks)) != sum(map(len, walks)) + 1 - 2 * k:
             return False, ("wheel", v, "rim is not a simple cycle")
     return True, None
 
@@ -150,23 +157,23 @@ def check_3_connected(graph):
             if j is not None and j != i:
                 rows[i].add(j)
                 rows[j].add(i)
-    adj = [tuple(row) for row in rows]
     pre = [-1] * num
-    tree = _dfs(adj, 0, pre)
+    tree = _dfs(rows, 0, pre)
     if len(tree[0]) < num:
         return False, ()
     if _cut_vertices(*tree):
         candidates = range(num - 1)
     else:
-        candidates = _separating_vertices(adj, pre, *tree)
+        candidates = _separating_vertices(rows, pre, *tree)
     if candidates:
-        return False, _first_separating_pair(names, adj, candidates)
+        return False, _first_separating_pair(names, rows, candidates)
     return True, None
 
 
 def _dfs(adj, root, pre):
     """One iterative depth-first search from ``root`` through the
-    vertices v with pre[v] < 0, numbering them in preorder into ``pre``
+    vertices v with pre[v] < 0 (``adj[v]``: the set of v's neighbours,
+    read as it iterates), numbering them in preorder into ``pre``
     (pre[v] = len(adj) deletes v).  Returns the vertices reached in
     preorder and, by preorder number, each one's parent and lowpoint:
     the farthest vertex an edge from its subtree reaches, i.e. the

@@ -68,6 +68,11 @@ def test_sign_convention():
     ("v a: e+ f+\nv b c: e+ f+\n", 2, "has whitespace"),
     ("hello\n", 1, "expected a 'v"),
     ("v a: e+ f+ f-\n", 1, "appears once"),
+    # several faults: the first faulty line is reported, and of the
+    # edges seen once the smallest, at its first line
+    ("v a: f+ g+\nv b: e+ g+\n", 2, "edge 'e' appears once"),
+    ("v a: e+ e+ x+\nv b: e+\n", 2, "more than twice"),
+    ("v a: e+ e+\nv b: e+\nv c: bad\n", 2, "more than twice"),
 ])
 def test_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(MapFormatError) as info:
@@ -95,6 +100,8 @@ def test_structural_errors_become_format_errors():
     {"a:1": ["e", "e"]},  # ':' would end the vertex id early
     {"a": ["e 1", "e 1"]},  # whitespace would split the edge token
     {"": ["e", "e"]},  # an empty vertex id does not parse
+    {"a": [1, 1]},  # an int edge id cannot take a sign
+    {1: ["e", "e"]},  # an int vertex id would parse back as '1'
 ])
 def test_serialize_rejects_ids_it_cannot_round_trip(rotation):
     with pytest.raises(StructureError) as info:

@@ -1,5 +1,6 @@
 """Klein's regular maps {3,7} and {7,3} and their truncations: the first
-polyhedral test maps with chi < 0.
+polyhedral test maps with chi < 0; then seeded random regular maps from
+PSL(2, q), q in {7, 11, 13}, with the package's identities on each.
 
 PSL(2,7) acts on the projective line over F_7, points 0..6 and 7 for
 infinity.  With x: z -> z + 1 and y: z -> -1/z, rotating by x gives
@@ -11,7 +12,7 @@ seed other tests' random draws.
 
 import pytest
 
-from conftest import regular_map, trace_by_dart_states
+from conftest import regular_map, seeded_rng, trace_by_dart_states
 from polymap.curvature_light import gauss_bonnet_sum, scan_theorem2
 from polymap.discharging import initial_charges, run_discharge
 from polymap.generators import truncate
@@ -102,3 +103,100 @@ def test_truncated_73_is_14_transferable():
     assert result.per_n[-1].scc_count == 1345
     assert find_stuck(graph, 15) is not None
     assert find_stuck(graph, 14) is None
+
+
+# -- random regular maps with chi < 0 from PSL(2, q) ---------------------
+
+def _mobius(q, a, b, c, d, z):
+    """z -> (az + b) / (cz + d) on P^1(F_q), with q for infinity."""
+    if z == q:
+        return q if c == 0 else a * pow(c, -1, q) % q
+    den = (c * z + d) % q
+    return q if den == 0 else (a * z + b) * pow(den, -1, q) % q
+
+
+def _psl2_element(q, rng):
+    """A uniform element of PSL(2, q) as a permutation of P^1(F_q)."""
+    while True:
+        a, b, c, d = (rng.randrange(q) for _ in range(4))
+        if (a * d - b * c) % q == 1:
+            return tuple(_mobius(q, a, b, c, d, z) for z in range(q + 1))
+
+
+def _psl2_involution(q, rng):
+    """A uniform involution of PSL(2, q), by rejection."""
+    identity = tuple(range(q + 1))
+    while True:
+        y = _psl2_element(q, rng)
+        if y != identity and tuple(y[z] for z in y) == identity:
+            return y
+
+
+def _random_regular_maps():
+    """120 seeded draws of q in {7, 11, 13}, any x and an involution y in
+    PSL(2, q); the pairs that generate the group, i.e. whose regular map
+    has 2E = q(q^2 - 1)/2 darts, give (q, map)."""
+    rng = seeded_rng(201)
+    maps = []
+    for _ in range(120):
+        q = rng.choice((7, 11, 13))
+        x, y = _psl2_element(q, rng), _psl2_involution(q, rng)
+        rs = regular_map(x, y)
+        if 2 * len(rs.edges) == q * (q * q - 1) // 2:
+            maps.append((q, rs))
+    return maps
+
+
+_RANDOM = _random_regular_maps()
+
+
+def test_random_regular_maps():
+    """On every generating pair: chi < 0, sum of Phi equals chi, the face
+    trace equals the (dart, side) oracle, parse and serialize round trip,
+    validity raises nothing (a wheel brings 3-connectivity and closed
+    2-cell faces), and truncation keeps the surface (V <= 364 on every
+    draw, so a truncation has at most 1 092 vertices).  The draws must
+    reach enough maps, polyhedral ones and shapes (q, V, chi) to mean
+    something: 58 pairs generate, 34 maps are polyhedral, in 22 shapes."""
+    polyhedral, shapes = 0, set()
+    for q, rs in _RANDOM:
+        top = topology(rs)
+        chi = top.euler_characteristic
+        assert chi < 0 and top.orientable
+        assert gauss_bonnet_sum(top) == chi
+        oracle = trace_by_dart_states(rs)
+        assert (top.faces, top.vertex_faces, top.edge_faces) == \
+            (oracle.faces, oracle.vertex_faces, oracle.edge_faces)
+        text = serialize_map(rs)
+        assert parse_map(text) == rs and serialize_map(parse_map(text)) == text
+        polyhedral += check_polyhedral(top).polyhedral
+        shapes.add((q, top.num_vertices, chi))
+        ttop = topology(truncate(rs))
+        assert (ttop.euler_characteristic, ttop.orientable) == (chi, True)
+    assert len(_RANDOM) >= 50 and polyhedral >= 30 and len(shapes) >= 20
+
+
+def test_random_regular_maps_discharge():
+    """On the polyhedral draws: the charge, -6 chi, is conserved and the
+    ledger replays exactly; the theorem holds (a light-free map has
+    V <= 126|chi|); and with no Lemma 1 violation every Lemma 2 vertex
+    is light."""
+    for _, rs in _RANDOM:
+        top = topology(rs)
+        report = check_polyhedral(top)
+        if not report.polyhedral:
+            continue
+        chi = top.euler_characteristic
+        state, ledger, audit = run_discharge(top)
+        assert state.total() == -6 * chi
+        replayed = ledger.replay(initial_charges(top))
+        assert replayed.vertex_charge == state.vertex_charge
+        assert replayed.face_charge == state.face_charge
+        scan = scan_theorem2(top, report)
+        assert scan.verdict != "counterexample-candidate"
+        light = {v for v, _ in scan.light}
+        if not light:
+            assert top.num_vertices <= 126 * abs(chi)
+        if not audit.lemma1_violations:
+            assert {v for v, _ in audit.lemma2_violations} <= light
+        assert not audit.contradiction

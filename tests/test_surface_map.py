@@ -52,6 +52,29 @@ def test_loop_counts_twice_in_degree():
     assert rs.adjacency() == {"a": ("b",), "b": ("a",)}
 
 
+def test_rows_are_read_once_as_given():
+    """A row is any iterable of edge ids, read once: a one-shot iterator
+    or a string of one-character ids builds the same system as a list,
+    and a row that gives no id is an empty rotation."""
+    rows = {"a": ["e", "f", "g"], "b": ["g", "f", "e"]}
+    want = RotationSystem(rows)
+    assert RotationSystem({v: iter(row) for v, row in rows.items()}) == want
+    assert RotationSystem({"a": "efg", "b": "gfe"}) == want
+    with pytest.raises(StructureError) as info:
+        RotationSystem({"a": iter([])})
+    assert str(info.value) == "vertex 'a' has an empty rotation"
+
+
+def test_from_rotations_rejects_colliding_pair_ids():
+    """With '~' inside vertex ids, the ids of two different pairs can
+    collide: a-(b~c) and (a~b)-c both read "a~b~c".  The both-ends check
+    rejects the map, which would otherwise build an edge between a and
+    a~b that no row lists."""
+    with pytest.raises(StructureError, match="not listed at both ends"):
+        RotationSystem.from_rotations({"a": ["b~c", "c"], "a~b": ["c"],
+                                       "b~c": ["c"], "c": ["b~c", "a"]})
+
+
 def test_from_rotations_requires_simple_and_symmetric():
     with pytest.raises(StructureError):
         RotationSystem.from_rotations({"a": ["a"]})
