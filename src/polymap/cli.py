@@ -146,14 +146,24 @@ def budget(text):
 
 
 def _read_map(args):
+    # bytes from a path or from stdin alike, decoded once as strict UTF-8,
+    # so no locale or PYTHONIOENCODING reads the same file another way
     if args.file == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.file, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise StructureError("cannot read %s: %s" % (args.file, exc))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the bad byte's line as parse_map numbers lines: split the
+        # valid prefix with one character standing in for the byte
+        prefix = data[:exc.start].decode("utf-8") + "\ufffd"
+        raise MapFormatError("byte 0x%02x is not UTF-8" % data[exc.start],
+                             len(prefix.splitlines()))
     return parse_map(text)
 
 

@@ -63,10 +63,9 @@ class LightPattern:
     dagger: bool = False
 
     def matches(self, vertex_type):
-        vt = sorted(vertex_type)
-        if len(vt) != len(self.entries):
+        if len(vertex_type) != len(self.entries):
             return False
-        for value, entry in zip(vt, self.entries):
+        for value, entry in zip(sorted(vertex_type), self.entries):
             kind = entry[0]
             if kind == "exact" and value != entry[1]:
                 return False

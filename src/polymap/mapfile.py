@@ -18,6 +18,13 @@ first occurrence ``+``, so ``parse_map(serialize_map(rs))`` reproduces
 whitespace or ``#``, and vertex ids must not contain ``:``.  Parsing
 rejects a vertex id with inner whitespace by the same rule that
 serialising applies.
+
+``parse_map`` takes decoded text.  The file itself is UTF-8: the CLI
+reads its bytes from a path or from stdin alike and decodes them once,
+strictly, so a byte that is not UTF-8 fails with its line number.  Ids
+made by ``RotationSystem.from_rotations`` join the two endpoint ids
+with ``~``, after writing ``%`` as ``%25`` and ``~`` as ``%7E`` inside
+each, so two different pairs never share an edge id.
 """
 
 from __future__ import annotations

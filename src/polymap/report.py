@@ -77,6 +77,8 @@ def curvature_section(top):
 
 
 def light_section(scan):
+    # one label per matched table row, not one per light vertex
+    labels = {row: row.label() for row in {row for _, row in scan.light}}
     return {
         "verdict": scan.verdict,
         "simple_polyhedral": scan.simple_polyhedral,
@@ -85,7 +87,7 @@ def light_section(scan):
         "euler_characteristic": fraction_str(scan.euler_characteristic),
         "vertices": scan.num_vertices,
         "light_count": len(scan.light),
-        "light": [[v, row.label()] for v, row in scan.light],
+        "light": [[v, labels[row]] for v, row in scan.light],
     }
 
 

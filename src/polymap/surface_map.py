@@ -114,23 +114,27 @@ class RotationSystem:
 
         ``neighbors`` maps each vertex to its neighbours in rotation
         order.  Edge ids are generated as ``"u~w"`` with the endpoint
-        ids sorted, so the construction is deterministic.  Pairs listed
-        in ``negative_edges`` get signature -1.
+        ids sorted, so the construction is deterministic; inside each
+        endpoint id ``%`` is written ``%25`` and ``~`` is written
+        ``%7E``, so two different pairs never share an id, and ids
+        free of both characters read as before (``"a0.0~b0.0"``).  One
+        walk over each row names its edges and checks that the row
+        repeats no neighbour, holds no loop, and is listed back at
+        every neighbour.  Pairs listed in ``negative_edges`` get
+        signature -1; a pair that is not an edge raises StructureError.
         """
         rotation_edges = {}
         for v, row in neighbors.items():
             if len(set(row)) != len(row) or v in row:
                 raise StructureError(
                     "vertex %r: from_rotations only accepts simple graphs" % (v,))
-            rotation_edges[v] = [_pair_edge(v, w) for w in row]
-        for v, row in neighbors.items():
+            ids = rotation_edges[v] = []
             for w in row:
-                if w not in neighbors or v not in neighbors[w]:
+                if v not in neighbors.get(w, ()):
                     raise StructureError(
                         "edge between %r and %r is not listed at both ends" % (v, w))
-        signature = {}
-        for u, w in negative_edges:
-            signature[_pair_edge(u, w)] = -1
+                ids.append(_pair_edge(v, w))
+        signature = {_pair_edge(u, w): -1 for u, w in negative_edges}
         return cls(rotation_edges, signature)
 
     def _signed_search(self):
@@ -200,8 +204,10 @@ class RotationSystem:
 
 
 def _pair_edge(u, w):
-    a, b = sorted((u, w))
-    return "%s~%s" % (a, b)
+    # '%' and '~' are escaped inside each id, so '~' only joins the two
+    a, b = (u, w) if u < w else (w, u)
+    return "%s~%s" % (str(a).replace("%", "%25").replace("~", "%7E"),
+                      str(b).replace("%", "%25").replace("~", "%7E"))
 
 
 @dataclass(frozen=True)

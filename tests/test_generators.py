@@ -105,3 +105,23 @@ def test_hex_families_are_byte_identical(build, digest):
     for p, q in itertools.product(range(3, 7), repeat=2):
         h.update(serialize_map(build(p, q)).encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: [tri_torus(p, q)
+              for p, q in itertools.product(range(3, 7), repeat=2)],
+     "473ee995dcc5ccdff0145a73ef5c51da195e858491161a11b2f1f0c7d3f3890d"),
+    (lambda: [tetrahedron()],
+     "ebb5252f62cf40bb84525445fbfe455bc8c07609aec8ad6232a1b4ea59217ec9"),
+    (lambda: [k7_torus()],
+     "64285d905c772d0eef508b46e8427ca54b0b097f92374459401779bfafe73021"),
+], ids=["tri_torus", "tetrahedron", "k7_torus"])
+def test_generated_ids_are_byte_identical(build, digest):
+    """SHA-256 over the map files of each map and of its truncation,
+    taken while ``from_rotations`` still joined the endpoint ids as
+    given: ids free of '%' and '~' are named as they always were."""
+    h = hashlib.sha256()
+    for rs in build():
+        h.update(serialize_map(rs).encode())
+        h.update(serialize_map(truncate(rs)).encode())
+    assert h.hexdigest() == digest

@@ -26,13 +26,19 @@ from polymap.generators import (hex_klein, hex_torus, tetrahedron, tri_torus,
 from polymap.mapfile import parse_map, serialize_map
 from polymap.report import (_json_fallback, curvature_section, fraction_str,
                             render_json, render_text)
-from polymap.surface_map import topology
+from polymap.surface_map import RotationSystem, topology
 from polymap.validity import check_polyhedral
 
 
-def run_cli(capsys, monkeypatch, argv, stdin=None):
+def run_cli(capsys, monkeypatch, argv, stdin=None, encoding="utf-8"):
+    """Run ``main(argv)``; ``stdin`` (str, taken as UTF-8, or bytes)
+    arrives as a shell feeds it: bytes behind a text layer that decodes
+    them with ``encoding``, as PYTHONIOENCODING would set it."""
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        if isinstance(stdin, str):
+            stdin = stdin.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(stdin), encoding=encoding))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -229,6 +235,71 @@ def test_malformed_input_exits_2(capsys, monkeypatch):
                              stdin="v a b: e+ e-\n")
     assert code == 2 and out == ""
     assert "line 1" in err and "whitespace" in err
+
+
+def _e_acute_tetrahedron():
+    """The tetrahedron with vertex 0 renamed ``é``, as UTF-8 bytes."""
+    tet = {"é": ["3", "1", "2"], "1": ["2", "é", "3"],
+           "2": ["3", "é", "1"], "3": ["1", "é", "2"]}
+    return serialize_map(RotationSystem.from_rotations(tet)).encode("utf-8")
+
+
+def test_a_file_and_stdin_give_one_map(capsys, monkeypatch, tmp_path):
+    """The same bytes read the same from a path and from stdin, whatever
+    encoding the process's text layer was given: the vertex is ``é``,
+    not ``Ã©`` as a latin-1 stdin would decode it."""
+    data = _e_acute_tetrahedron()
+    path = tmp_path / "tet.map"
+    path.write_bytes(data)
+    for command in ("analyze", "check", "discharge"):
+        argv = [command, str(path), "--format", "json"]
+        from_file = run_cli(capsys, monkeypatch, argv)
+        assert from_file[::2] == (0, ""), command
+        for encoding in ("utf-8", "latin-1"):
+            argv[1] = "-"
+            assert run_cli(capsys, monkeypatch, argv, stdin=data,
+                           encoding=encoding) == from_file, (command, encoding)
+    code, out, _ = run_cli(capsys, monkeypatch, ["discharge", "-"],
+                           stdin=data, encoding="latin-1")
+    assert code == 0 and "  é: " in out and "Ã" not in out
+
+
+def test_a_file_and_stdin_give_one_map_under_pythonioencoding(tmp_path):
+    """``PYTHONIOENCODING=latin-1 polymap analyze - --format json`` prints
+    the bytes that ``polymap analyze FILE --format json`` prints."""
+    data = _e_acute_tetrahedron()
+    path = tmp_path / "tet.map"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(polymap.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="latin-1")
+    runs = [subprocess.run([sys.executable, "-m", "polymap", "analyze", file,
+                            "--format", "json"], input=data, env=env,
+                           capture_output=True, timeout=60)
+            for file in (str(path), "-")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr == b""
+
+
+@pytest.mark.parametrize("data,line,byte", [
+    (b"v 0\xff: a+\n", 1, 0xff),
+    (b"v 0: a+ b+ c+\nv 1: a+ \xc3(+\n", 2, 0xc3),
+    (b"\xef\xbb\xbfv 0: a+\r\nv 1: a+\r\n\xff", 3, 0xff),
+    (b"v 0: a+\rv 1: \xed\xa0\x80+\n", 2, 0xed),
+    (b"\xfe", 1, 0xfe),
+])
+def test_bytes_that_are_not_utf8_exit_2_with_their_line(
+        capsys, monkeypatch, tmp_path, data, line, byte):
+    """A byte that is not UTF-8 fails at its own line, numbered as the
+    parser numbers lines, and the same way from a file and from stdin."""
+    path = tmp_path / "bad.map"
+    path.write_bytes(data)
+    expected = (2, "", "error: line %d: byte 0x%02x is not UTF-8\n"
+                % (line, byte))
+    assert run_cli(capsys, monkeypatch, ["check", str(path)]) == expected
+    assert run_cli(capsys, monkeypatch, ["check", "-"], stdin=data) == expected
+    assert run_cli(capsys, monkeypatch, ["analyze", "-", "--format", "json"],
+                   stdin=data, encoding="latin-1") == expected
 
 
 def test_discharge_skips_a3_for_a_face_below_degree_3(capsys, monkeypatch):

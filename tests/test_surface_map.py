@@ -66,13 +66,43 @@ def test_rows_are_read_once_as_given():
 
 
 def test_from_rotations_rejects_colliding_pair_ids():
-    """With '~' inside vertex ids, the ids of two different pairs can
-    collide: a-(b~c) and (a~b)-c both read "a~b~c".  The both-ends check
-    rejects the map, which would otherwise build an edge between a and
-    a~b that no row lists."""
+    """Rows that once gave a-(b~c) and (a~b)-c the one id "a~b~c".  The
+    ids are distinct now, and the map is refused only because b~c does
+    not list a."""
     with pytest.raises(StructureError, match="not listed at both ends"):
         RotationSystem.from_rotations({"a": ["b~c", "c"], "a~b": ["c"],
                                        "b~c": ["c"], "c": ["b~c", "a"]})
+
+
+def test_from_rotations_gives_each_pair_its_own_id():
+    """'~' and '%' inside vertex ids are escaped, so a-(b~c) and (a~b)-c
+    are two edges and this simple graph builds."""
+    rs = RotationSystem.from_rotations({
+        "a": ["b~c", "c"], "b~c": ["a", "c"], "a~b": ["c"],
+        "c": ["a~b", "a", "b~c"]})
+    assert len(rs.edges) == 4
+    assert set(map(rs.endpoints, rs.edges)) == {
+        ("a", "b~c"), ("a~b", "c"), ("a", "c"), ("b~c", "c")}
+    assert rs.edges == ("a%7Eb~c", "a~b%7Ec", "a~c", "b%7Ec~c")
+    rs = RotationSystem.from_rotations({"%": ["%25"], "%25": ["%"]})
+    assert rs.edges == ("%25~%2525",)
+
+
+def _k4_with_a_tilde_vertex():
+    return {"a": ["y", "b~c", "x"], "b~c": ["x", "a", "y"],
+            "x": ["y", "a", "b~c"], "y": ["b~c", "a", "x"]}
+
+
+def test_negative_edges_must_name_an_edge():
+    """('a~b', 'c') names no edge of K4 on {a, b~c, x, y}: it raises
+    rather than negate the edge a-(b~c), whose id it once shared."""
+    k4 = _k4_with_a_tilde_vertex()
+    assert RotationSystem.from_rotations(k4).orientable
+    with pytest.raises(StructureError, match="unknown edge"):
+        RotationSystem.from_rotations(k4, negative_edges=[("a~b", "c")])
+    rs = RotationSystem.from_rotations(k4, negative_edges=[("b~c", "a")])
+    assert [e for e in rs.edges if rs.signature[e] < 0] == ["a~b%7Ec"]
+    assert not rs.orientable
 
 
 def test_from_rotations_requires_simple_and_symmetric():
