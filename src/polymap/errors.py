@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MapError", "StructureError", "MapFormatError", "BudgetError"]
+
 
 class MapError(Exception):
     """Base class for all errors raised by this package."""

@@ -14,7 +14,7 @@ reglued edges.
 
 from __future__ import annotations
 
-from .surface_map import RotationSystem
+from .surface_map import RotationSystem, _escape
 
 __all__ = [
     "tetrahedron",
@@ -119,22 +119,28 @@ def truncate(rs):
     """Truncate every vertex of a map.
 
     A vertex of degree d becomes a d-cycle of new vertices, one per
-    dart; original edges survive under their own ids between the new
-    vertices at their two ends, and each original k-face becomes a
-    2k-face.  Signatures are inherited, so Euler characteristic and
-    orientability are preserved.
+    dart; original edges survive between the new vertices at their two
+    ends, and each original k-face becomes a 2k-face.  Signatures are
+    inherited, so Euler characteristic and orientability are preserved.
 
-    New vertex ``v/t`` sits on dart ``t`` of the rotation at ``v``; the
-    cycle edge between corners t and t+1 of v is named ``v/ct``.
+    Every id taken from ``rs`` is escaped first: ``%`` is written
+    ``%25`` and ``/`` is written ``%2F``, the rule ``from_rotations``
+    applies with ``~``.  The new vertex on dart ``t`` of the rotation at
+    a vertex with escaped id ``x`` is ``x/t``, the cycle edge between
+    its corners t and t+1 is ``x/ct``, and an original edge keeps its
+    escaped id, which holds no ``/``.  So no two ids collide, and ids
+    free of ``%`` and ``/`` (every generated family's) are kept as they
+    are.
     """
+    edge_id = {e: _escape(e, "/") for e in rs.edges}
     rotation_edges = {}
-    signature = dict(rs.signature)
-    for v in rs.vertices:
-        d = rs.degree(v)
-        for t, dart in enumerate(rs.rotation[v]):
-            rotation_edges["%s/%d" % (v, t)] = [
-                dart.edge,
-                "%s/c%d" % (v, t),
-                "%s/c%d" % (v, (t - 1) % d),
+    for v, darts in rs.rotation.items():
+        x, d = _escape(v, "/"), len(darts)
+        for t, dart in enumerate(darts):
+            rotation_edges["%s/%d" % (x, t)] = [
+                edge_id[dart.edge],
+                "%s/c%d" % (x, t),
+                "%s/c%d" % (x, (t - 1) % d),
             ]
+    signature = {edge_id[e]: s for e, s in rs.signature.items() if s < 0}
     return RotationSystem(rotation_edges, signature)

@@ -21,10 +21,15 @@ serialising applies.
 
 ``parse_map`` takes decoded text.  The file itself is UTF-8: the CLI
 reads its bytes from a path or from stdin alike and decodes them once,
-strictly, so a byte that is not UTF-8 fails with its line number.  Ids
-made by ``RotationSystem.from_rotations`` join the two endpoint ids
-with ``~``, after writing ``%`` as ``%25`` and ``~`` as ``%7E`` inside
-each, so two different pairs never share an edge id.
+strictly, so a byte that is not UTF-8 fails with its line number.
+
+Ids that the package makes follow one escape rule: an id is joined to
+another part by a separator only after ``%`` is written ``%25`` and the
+separator as its ``%XX`` code inside it.  ``RotationSystem.from_rotations``
+joins two endpoint ids with ``~`` (``%7E``), and ``truncate`` writes a
+vertex id then ``/`` (``%2F``) then a corner or cycle-edge tag, and an
+inherited edge id escaped the same way, so no two made ids collide.  Ids
+free of ``%`` and the separator are kept as they are.
 """
 
 from __future__ import annotations

@@ -203,11 +203,19 @@ class RotationSystem:
         return "<RotationSystem V=%d E=%d>" % (len(self.vertices), len(self.edges))
 
 
+def _escape(ident, sep):
+    """``ident`` as a string with ``%`` written ``%25`` and ``sep`` as its
+    ``%XX`` code, so ``sep`` can join escaped ids without two joins
+    colliding; an id free of both characters is returned unchanged."""
+    s = str(ident)
+    if "%" in s or sep in s:
+        return s.replace("%", "%25").replace(sep, "%%%02X" % ord(sep))
+    return s
+
+
 def _pair_edge(u, w):
-    # '%' and '~' are escaped inside each id, so '~' only joins the two
     a, b = (u, w) if u < w else (w, u)
-    return "%s~%s" % (str(a).replace("%", "%25").replace("~", "%7E"),
-                      str(b).replace("%", "%25").replace("~", "%7E"))
+    return "%s~%s" % (_escape(a, "~"), _escape(b, "~"))
 
 
 @dataclass(frozen=True)

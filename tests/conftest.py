@@ -751,16 +751,30 @@ def drum(m, apex=1, pegged=False):
 
 
 def medial(rs):
-    """The medial map of an orientable map: one vertex per edge e, and
-    corner edge ``v/ct`` joining the edges of darts t and t+1 at v.  At
-    e = (u, w) the rotation is u/c(t0), u/c(t0-1), w/c(t1), w/c(t1-1),
-    t0 and t1 being e's positions in the rotations at u and w."""
+    """The medial map of a map with every signature +1: one vertex per
+    edge e, and corner edge ``v/ct`` joining the edges of darts t and
+    t+1 at v.  At e = (u, w) the rotation is u/c(t0), u/c(t0-1),
+    w/c(t1), w/c(t1-1), t0 and t1 being e's positions in the rotations
+    at u and w.  That rotation is right only if e keeps the sense of
+    rotation, so a negative edge (every non-orientable map has one)
+    raises ValueError rather than give a wrong medial."""
+    if -1 in rs.signature.values():
+        raise ValueError("medial needs every signature +1")
+
     def corners(d):
         v = rs.dart_vertex(d)
         t, n = rs.rotation[v].index(d), rs.degree(v)
         return ["%s/c%d" % (v, t), "%s/c%d" % (v, (t - 1) % n)]
     return RotationSystem({e: corners(Dart(e, 0)) + corners(Dart(e, 1))
                            for e in rs.edges})
+
+
+def petrie(rs):
+    """The Petrie dual: the same rotations with every signature negated,
+    so the faces are the map's Petrie polygons."""
+    return RotationSystem({v: [d.edge for d in rs.rotation[v]]
+                           for v in rs.vertices},
+                          {e: -s for e, s in rs.signature.items()})
 
 
 def subdivide(rs, edge, k):

@@ -286,6 +286,23 @@ def test_medial_maps():
         assert degs in ([3, 6, 3, 6], [6, 3, 6, 3]), (v, degs)
 
 
+def test_medial_refuses_a_negative_edge():
+    """The helper's rotations ignore signatures: on hex_klein(3,3) they
+    read chi = -2, orientable and not polyhedral, where the medial of a
+    Klein-bottle map has chi = 0 and is non-orientable.  hex_torus(3,3)
+    with one vertex switched (rotation reversed, its edges negated) is
+    the same torus map, yet its medial read chi = -2 as well."""
+    with pytest.raises(ValueError, match="signature"):
+        medial(hex_klein(3, 3))
+    rs = hex_torus(3, 3)
+    rot = {v: [d.edge for d in rs.rotation[v]] for v in rs.vertices}
+    rot["a0.0"].reverse()
+    switched = RotationSystem(rot, {e: -1 for e in rot["a0.0"]})
+    assert switched.orientable
+    with pytest.raises(ValueError, match="signature"):
+        medial(switched)
+
+
 def test_rule_a2_on_the_kagome_torus():
     """Every (3,6,3,6) vertex pays 1 by rule A1 and 1/10 more by rule
     A2 to each of its two triangles."""

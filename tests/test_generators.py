@@ -7,8 +7,9 @@ import pytest
 
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
-from polymap.mapfile import serialize_map
-from polymap.surface_map import topology
+from polymap.mapfile import parse_map, serialize_map
+from polymap.surface_map import RotationSystem, topology
+from polymap.validity import check_polyhedral
 
 
 @pytest.mark.parametrize("build,counts,orientable", [
@@ -125,3 +126,43 @@ def test_generated_ids_are_byte_identical(build, digest):
         h.update(serialize_map(rs).encode())
         h.update(serialize_map(truncate(rs)).encode())
     assert h.hexdigest() == digest
+
+
+def _renamed(rs, vertex=None, edge=None):
+    """``rs`` with vertices and edges renamed by the given dicts."""
+    vertex, edge = vertex or {}, edge or {}
+    return RotationSystem(
+        {vertex.get(v, v): [edge.get(d.edge, d.edge) for d in rs.rotation[v]]
+         for v in rs.vertices},
+        {edge.get(e, e): s for e, s in rs.signature.items()})
+
+
+@pytest.mark.parametrize("rs", [
+    _renamed(tetrahedron(), edge={"0~1": "0/c0"}),
+    _renamed(tetrahedron(), edge={"0~1": "0/c0", "0~2": "0%2Fc0",
+                                  "0~3": "%", "1~2": "%25"}),
+    _renamed(tetrahedron(), vertex={"0": "a/0", "1": "a", "2": "a%2F0",
+                                    "3": "a/c0"}, edge={"0~1": "a/0/c0"}),
+    RotationSystem.from_rotations({"%": ["/", "%2F", "%25"],
+                                   "/": ["%", "%25", "%2F"],
+                                   "%2F": ["%", "/", "%25"],
+                                   "%25": ["/", "%", "%2F"]}),
+], ids=["found", "edge-ids", "vertex-ids", "from-rotations"])
+def test_truncate_escapes_ids(rs):
+    """Ids holding '/' or '%' are escaped, so each of these tetrahedra
+    truncates to a polyhedral 12/18/8 map; the first, with edge 0~1
+    renamed 0/c0, was refused as 'edge '0/c0' appears more than twice'
+    while truncation kept edge ids raw."""
+    top = topology(truncate(rs))
+    assert (top.num_vertices, top.num_edges, top.num_faces) == (12, 18, 8)
+    assert check_polyhedral(top).polyhedral
+
+
+def test_truncate_twice():
+    """The second truncation escapes the '/' of the first one's ids."""
+    rs = truncate(truncate(tetrahedron()))
+    assert rs.vertices[:2] == ("0%2F0/0", "0%2F0/1")
+    top = topology(rs)
+    assert (top.num_vertices, top.num_edges, top.num_faces) == (36, 54, 20)
+    assert check_polyhedral(top).polyhedral
+    assert parse_map(serialize_map(rs)) == rs

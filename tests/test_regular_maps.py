@@ -6,13 +6,16 @@ PSL(2,7) acts on the projective line over F_7, points 0..6 and 7 for
 infinity.  With x: z -> z + 1 and y: z -> -1/z, rotating by x gives
 {3,7} (V = 24) and rotating by xy gives {7,3} (V = 56); both lie on the
 genus-3 surface, chi = -4, so V <= 126|chi| and the theorem's size
-hypothesis fails.  The maps stay out of ``full_corpus``, whose members
-seed other tests' random draws.
+hypothesis fails.  Their Petrie duals (every signature negated) and the
+truncations of those are the non-orientable chi < 0 case.  The maps
+stay out of ``full_corpus``, whose members seed other tests' random
+draws.
 """
 
 import pytest
 
-from conftest import regular_map, seeded_rng, trace_by_dart_states
+from conftest import (petrie, regular_map, seeded_rng,
+                      trace_by_dart_states)
 from polymap.curvature_light import gauss_bonnet_sum, scan_theorem2
 from polymap.discharging import initial_charges, run_discharge
 from polymap.generators import truncate
@@ -103,6 +106,59 @@ def test_truncated_73_is_14_transferable():
     assert result.per_n[-1].scc_count == 1345
     assert find_stuck(graph, 15) is not None
     assert find_stuck(graph, 14) is None
+
+
+def _petrie_maps():
+    maps = {}
+    for name in ("{3,7}", "{7,3}"):
+        maps["P" + name] = petrie(_MAPS[name])
+        maps["trP" + name] = truncate(maps["P" + name])
+    return maps
+
+
+_PETRIE = _petrie_maps()
+
+
+# V, E, F, chi and the first validity witness (None: polyhedral)
+_PETRIE_PINS = {
+    "P{3,7}": ((24, 84, 21), -39,
+               ("wheel", "v0000", "rim is not a simple cycle")),
+    "P{7,3}": ((56, 84, 21), -7, None),
+    "trP{3,7}": ((168, 252, 45), -39, None),
+    "trP{7,3}": ((168, 252, 77), -7, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PETRIE_PINS))
+def test_petrie_maps(name):
+    """Counts, surface and polyhedrality of the non-orientable maps; none
+    has a light vertex.  Then the identities: the sum of Phi is chi, the
+    face trace equals the (dart, side) oracle, the charge, -6 chi (234
+    or 42), is conserved and the ledger replays exactly with no lemma
+    violation, and parse and serialize round trip."""
+    rs = _PETRIE[name]
+    counts, chi, witness = _PETRIE_PINS[name]
+    top = topology(rs)
+    assert (top.num_vertices, top.num_edges, top.num_faces) == counts
+    assert (top.euler_characteristic, top.orientable) == (chi, False)
+    report = check_polyhedral(top)
+    assert report.polyhedral is (witness is None)
+    assert report.witnesses[:1] == ((witness,) if witness else ())
+    assert scan_theorem2(top, report).light == ()
+    assert gauss_bonnet_sum(top) == chi
+
+    oracle = trace_by_dart_states(rs)
+    assert (top.faces, top.vertex_faces, top.edge_faces) == \
+        (oracle.faces, oracle.vertex_faces, oracle.edge_faces)
+    state, ledger, audit = run_discharge(top)
+    assert state.total() == -6 * chi
+    replayed = ledger.replay(initial_charges(top))
+    assert replayed.vertex_charge == state.vertex_charge
+    assert replayed.face_charge == state.face_charge
+    assert (audit.lemma1_violations, audit.lemma2_violations,
+            audit.light_count, audit.contradiction) == ((), (), 0, False)
+    text = serialize_map(rs)
+    assert parse_map(text) == rs and serialize_map(parse_map(text)) == text
 
 
 # -- random regular maps with chi < 0 from PSL(2, q) ---------------------

@@ -27,6 +27,7 @@ from polymap.mapfile import parse_map, serialize_map
 from polymap.report import (_json_fallback, curvature_section, fraction_str,
                             render_json, render_text)
 from polymap.surface_map import RotationSystem, topology
+from polymap.transferability import PathState, steps
 from polymap.validity import check_polyhedral
 
 
@@ -555,6 +556,31 @@ def test_stuck_exit_codes(capsys, monkeypatch, tmp_path):
                             "--format", "json"])
     assert code == 1
     assert json.loads(out)["stuck"]["found"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stuck_path_found(capsys, monkeypatch, tmp_path, fmt):
+    """A stuck 13-path next to a0.0/0 on truncate(hex_torus(3,3)): exit
+    0, the path printed in full, and no move leaves it."""
+    rs = truncate(hex_torus(3, 3))
+    path = tmp_path / "th33.map"
+    path.write_text(serialize_map(rs), encoding="utf-8")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["stuck", str(path), "--n", "13", "--anchor",
+                              "a0.0/0", "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        stuck = json.loads(out)["stuck"]
+        assert (stuck["found"], stuck["anchor"]) == (True, "a0.0/0")
+        vertices = stuck["path"]
+    else:
+        assert "  found: true\n" in out
+        [line] = [line for line in out.splitlines()
+                  if line.startswith("  path: ")]
+        vertices = line.split()[1:]
+    assert len(vertices) == 14
+    assert vertices[:3] == ["a0.0/0", "a0.0/1", "a0.0/2"]
+    assert steps(rs.adjacency(), PathState(tuple(vertices))) == []
 
 
 def test_export_digraph(capsys, monkeypatch, tmp_path):
