@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "DEGREE_CAP",
@@ -50,8 +50,7 @@ VERTEX_FACTOR = 126
 UNBOUNDED = math.inf
 
 
-@dataclass(frozen=True)
-class LightPattern:
+class LightPattern(NamedTuple):
     """One row of the light-vertex table.
 
     ``entries`` constrain the ascending-sorted vertex type positionally;
@@ -171,8 +170,7 @@ def match_light(vertex_type):
     return None
 
 
-@dataclass(frozen=True)
-class TheoremScan:
+class TheoremScan(NamedTuple):
     """Outcome of scanning one map for light vertices.
 
     ``light`` lists (vertex, matched row) in vertex order.  ``verdict``

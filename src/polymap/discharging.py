@@ -27,7 +27,6 @@ with light vertices) failed bounds are informational only.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -87,8 +86,7 @@ _A3_AMOUNT = {
 _A_RULES = ("A1", "A2", "A3", "A4")
 
 
-@dataclass(frozen=True)
-class ChargeState:
+class ChargeState(NamedTuple):
     """Charges on all vertices and faces plus which rules already ran."""
 
     vertex_charge: dict
@@ -138,9 +136,18 @@ class LedgerEntry(NamedTuple):
     note: str
 
 
-@dataclass
-class TransferLedger:
-    entries: list = field(default_factory=list)
+class _TransferLedger(NamedTuple):
+    entries: list
+
+
+class TransferLedger(_TransferLedger):
+    """The transfers of a discharge run, in the order ``record`` adds
+    them; ``TransferLedger()`` starts its own empty ``entries``."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries=None):
+        return tuple.__new__(cls, ([] if entries is None else entries,))
 
     def record(self, rule, source, target, amount, note):
         self.entries.append(LedgerEntry(rule, source, target, amount, note))
@@ -284,8 +291,7 @@ def lemma1_bound(degree):
     return Fraction(degree, 21)
 
 
-@dataclass(frozen=True)
-class LemmaAudit:
+class LemmaAudit(NamedTuple):
     """Bound checks against the counterexample analysis.
 
     ``lemma1_violations``: (face, degree, charge, bound) where the

@@ -29,7 +29,6 @@ sortable identifiers work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import StructureError
@@ -218,8 +217,7 @@ def _pair_edge(u, w):
     return "%s~%s" % (_escape(a, "~"), _escape(b, "~"))
 
 
-@dataclass(frozen=True)
-class FacialWalk:
+class FacialWalk(NamedTuple):
     """One facial walk, in a fixed canonical direction.
 
     ``darts[i]`` is the dart the walk leaves along at step ``i`` and

@@ -55,7 +55,7 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, StructureError
 
@@ -82,18 +82,28 @@ __all__ = [
 DEFAULT_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class PathState:
-    """A directed simple path, tail first, head last."""
-
+class _PathState(NamedTuple):
     vertices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if not self.vertices:
+
+class PathState(_PathState):
+    """A directed simple path, tail first, head last."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices):
+        vertices = tuple(vertices)
+        if not vertices:
             raise StructureError("a path needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise StructureError("path vertices must be distinct")
+        # the base's generated __new__ does only this, one call deeper
+        return tuple.__new__(cls, (vertices,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here, so its result is checked too
+        return cls(*iterable)
 
     @property
     def tail(self):
@@ -181,8 +191,7 @@ def enumerate_paths(graph, n, budget=DEFAULT_BUDGET):
     return tuple(map(PathState, digraph._labels(paths, paths)))
 
 
-@dataclass(frozen=True)
-class SccSummary:
+class SccSummary(NamedTuple):
     """How many strong components a transfer digraph has, and how big."""
 
     count: int
@@ -666,8 +675,7 @@ def _add_run(starts, offsets, lo, hi):
             offsets.append(offsets[-1] + hi - lo)
 
 
-@dataclass(frozen=True)
-class NPathVerdict:
+class NPathVerdict(NamedTuple):
     n: int
     transferable: bool
     reason: str  # "" when transferable, else "no-n-path"/"not-strongly-connected"
@@ -685,8 +693,7 @@ def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
     return n_verdict(graph, n, budget).transferable
 
 
-@dataclass(frozen=True)
-class TransferabilityResult:
+class TransferabilityResult(NamedTuple):
     """Outcome of the sweep over path lengths.
 
     ``value`` is the largest n up to ``search_bound`` found
@@ -742,8 +749,7 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
                                  truncated_at=truncated_at)
 
 
-@dataclass(frozen=True)
-class StuckWitness:
+class StuckWitness(NamedTuple):
     """An n-path with no legal move, plus the search anchor if any."""
 
     path: PathState

@@ -23,7 +23,7 @@ report serialisation unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ValidityReport",
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     is_simple: bool
     min_degree_ok: bool
     closed_2cell: bool

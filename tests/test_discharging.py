@@ -1,6 +1,5 @@
 """Charge initialization, transfer rules, conservation, and the audit."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -142,7 +141,7 @@ def test_rules_match_one_fraction_move_at_a_time(corpus):
         stages = _rules_match_the_moves(top, initial_charges(top))
         final, ledger, audit = run_discharge(top)
         assert (final.vertex_charge, final.face_charge) == stages[-1]
-        assert dataclasses.astuple(audit) == audit_by_moves(
+        assert tuple(audit) == audit_by_moves(
             top, stages[3][1], stages[4][0])
         rules |= {e.rule for e in ledger.entries}
     assert rules == {"A1", "A2", "A3", "A4", "B"}
@@ -235,8 +234,7 @@ def test_stage_gating(trunc_hex):
     for rule in (apply_rule_a2, apply_rule_a3, apply_rule_a4):
         state = rule(state, top, TransferLedger())
     assert state.stage == "after_A"
-    after_b = dataclasses.replace(initial_charges(top),
-                                  applied=frozenset({"B"}))
+    after_b = initial_charges(top)._replace(applied=frozenset({"B"}))
     with pytest.raises(StructureError, match="stage A rule A1 after rule B"):
         apply_rule_a1(after_b, top, TransferLedger())
     state = apply_rule_b(state, top, TransferLedger())
