@@ -27,9 +27,11 @@ reversing every path turns the digraph into its converse, the sinks
 that trimming H sheds are the reverses of its sources, and two forward
 searches on what is left decide strong connectivity and count the
 components; Tarjan on H runs only when that core is not one component.
-Trimming and the searches also work run by run: in-degrees are prefix
-sums over the runs, and a search visits intervals of nodes, whose moves
-the runs turn into intervals of suffixes.
+Trimming and the searches also work run by run: the sources are the
+gaps between the runs' intervals of suffixes, a node the trimming
+reaches has its in-degree counted from those intervals, and a search
+visits intervals of nodes, whose moves the runs turn into intervals of
+suffixes.
 H is the transfer digraph of the (n - 1)-paths less their moves onto
 their own tails, so where the graph has no n-cycle the two are equal,
 and a sweep that found n - 1 transferable carries that verdict to n
@@ -50,6 +52,7 @@ and parallel edges are meaningless here, so only simple graphs apply.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from array import array
@@ -150,6 +153,12 @@ class _Space:
         self.adj = tuple(adj)
         # level arrays hold vertex indices as 16-bit ints when they fit
         self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
+
+    @functools.cached_property
+    def items(self):
+        """Each vertex index's bytes as one item of a level array."""
+        return [array(self.typecode, [v]).tobytes()
+                for v in range(len(self.adj))]
 
     def decode(self, state):
         return PathState(tuple(map(self.names.__getitem__, state)))
@@ -330,8 +339,10 @@ class TransferDigraph:
         rev(x), kept to arcs into the core, reach all of it; then its
         arcs are one more component.
         Trimming and both searches work on ``_runs`` and ``_first``: the
-        in-degrees are prefix sums over the runs, and a source's block
-        and a search's interval of nodes have arcs that the runs cut into
+        in-degrees are counted from the runs' intervals of suffixes, only
+        at the nodes the trimming reaches (``_sources``), the cut is
+        summed over the trimmed nodes alone, and a source's block and a
+        search's interval of nodes have arcs that the runs cut into
         intervals of suffixes.  Only a core that splits goes through
         Tarjan, on per-state lists.
 
@@ -351,14 +362,15 @@ class TransferDigraph:
             return nodes if prev is None else \
                 prev._find(prev._walks(nodes)[::-1])
 
+        trimmed = set(sources)
+        trimmed.update(rev(sources))
         trim = bytearray(len(first) - 1)
-        for b in itertools.chain(sources, rev(sources)):
+        for b in trimmed:
             trim[b] = 1
         # the arcs with a trimmed end: those out of a trimmed node, then
         # those from the core into one, which end at a sink and so,
         # reversed, run from a source into the core
-        cut = sum(first[b + 1] - first[b] for b in
-                  itertools.compress(range(len(trim)), trim))
+        cut = sum(first[b + 1] - first[b] for b in trimmed)
         cut += sum(trim.count(0, r.start, r.stop) for b in sources
                    for r in _suffixes(runs, first[b], first[b + 1]))
         x, core, states = trim.find(0), trim.count(0), self.state_count
@@ -426,25 +438,28 @@ def _suffixes(runs, a, b):
 
 def _sources(first, runs):
     """The in-degree-0 cascade of H, in the order it is trimmed.  A run
-    covers each of its suffixes once, so the in-degrees are the prefix
-    sums of +1 at each run's first suffix and -1 past its last; the
-    sentinel past the last node stays 0 and stops the scan for zeros."""
+    covers each of its suffixes once, so a node's in-degree is the
+    number of runs whose interval of suffixes holds it: the number of
+    interval starts at or below it less the number of ends.  So with
+    both sorted, the nodes from the i-th end up to the (i + 1)-th start
+    are the sources, in order, and a node the cascade reaches has its
+    in-degree counted by two bisections; only the nodes it reaches are
+    kept, in a dict."""
     starts, offsets = runs
-    indegree = [0] * len(first)
-    for s, lo, hi in zip(starts, offsets, offsets[1:]):
-        indegree[s] += 1
-        indegree[s + hi - lo] -= 1
-    indegree = list(itertools.accumulate(indegree))
-    sources = []
-    b = indegree.index(0)
-    while b < len(first) - 1:
-        sources.append(b)
-        b = indegree.index(0, b + 1)
+    begins = sorted(starts)
+    ends = sorted(map(operator.add, starts,
+                      map(operator.sub, offsets[1:], offsets)))
+    sources = list(itertools.chain.from_iterable(
+        map(range, [0] + ends, begins + [len(first) - 1])))
+    indegree = {}
     for b in sources:
         for r in _suffixes(runs, first[b], first[b + 1]):
             for c in r:
-                indegree[c] -= 1
-                if not indegree[c]:
+                d = indegree.get(c)
+                if d is None:
+                    d = bisect_right(begins, c) - bisect_right(ends, c)
+                indegree[c] = d = d - 1
+                if not d:
                     sources.append(c)
     return sources
 
@@ -570,11 +585,15 @@ def _grow(space, n, budget, digraph=None):
     ``_sizes[s:s + L]`` to the new block sizes.  The range is cut at
     each dropped move, so the new level has at most as many runs as the
     last one plus the moves it drops.  The dropped moves are found by
-    scanning each tail run's heads for the tail's neighbours, and each
-    one's target inside its block.  Tail run v of the new level is the
-    blocks of the last one's, so its bounds are the new ``_first`` at
-    the last bounds.  Per level the Python work is O(runs + drops +
-    V * deg), and the per-state work is array slicing.
+    scanning each non-empty tail run's heads for the tail's neighbours
+    (``_tail_moves``), and each one's target inside its block.  Tail
+    run v of the new level is the blocks of the last one's, so its
+    bounds are the new ``_first`` at the last bounds.  The pieces of
+    every level, level 1's one-vertex pieces included, go through one
+    loop that adds their heads and extends the last run in place where
+    a piece continues it.  Per level the Python work is O(runs + drops
+    + V + deg * non-empty tail runs), and the per-state work is array
+    slicing.
     """
     adj, code = space.adj, space.typecode
     if n >= len(space.names):
@@ -593,16 +612,16 @@ def _grow(space, n, budget, digraph=None):
             spent += digraph.arc_count - len(drops)
         if spent > budget:
             raise _budget_error(budget, n)
-        starts, offsets = array("i"), array("i", [0])
         if digraph is None:  # a 1-path's p[1:] is its head vertex
-            head = array(code, itertools.chain.from_iterable(adj))
+            heads = array(code, range(len(adj)))
             sizes = array(code, map(len, adj))
-            for k in head:
-                _add_run(starts, offsets, k, k + 1)
+            pieces = [(k, k + 1)
+                      for k in itertools.chain.from_iterable(adj)]
         else:
             first, heads = digraph._first, digraph._head
             run_starts, run_offsets = digraph._runs
             sizes = array(code)
+            pieces = []
             d = 0
             for s, start, end in zip(run_starts, run_offsets,
                                      run_offsets[1:]):
@@ -615,13 +634,24 @@ def _grow(space, n, budget, digraph=None):
                     b = s + j - start
                     k = heads.index(bisect_right(bounds, j) - 1,
                                     first[b], first[b + 1])
-                    _add_run(starts, offsets, lo, k)
+                    pieces.append((lo, k))
                     lo = k + 1
                     d += 1
-                _add_run(starts, offsets, lo, first[s + end - start])
-            head = array(code)
-            for s, lo, hi in zip(starts, offsets, offsets[1:]):
-                head += heads[s:s + hi - lo]
+                pieces.append((lo, first[s + end - start]))
+        # each piece adds the states lo..hi - 1 of the last level, in
+        # order, as suffixes with their heads; it extends the last run
+        # in place where that ends at lo, so that every run is maximal
+        head, starts, offsets = array(code), array("i"), array("i", [0])
+        last = -1
+        for lo, hi in pieces:
+            head += heads[lo:hi]
+            if lo == last:
+                offsets[-1] += hi - lo
+                last = hi
+            elif lo < hi:
+                starts.append(lo)
+                offsets.append(offsets[-1] + hi - lo)
+                last = hi
         blocks = array("i", itertools.accumulate(sizes, initial=0))
         digraph = TransferDigraph(
             space, digraph.n + 1 if digraph else 1, digraph, head, blocks,
@@ -633,16 +663,17 @@ def _grow(space, n, budget, digraph=None):
 def _tail_moves(adj, level):
     """Ascending, the states of ``level`` with a move onto their own
     tail: those whose tail neighbours their head, found by a byte search
-    of each tail run's heads."""
-    bounds, heads = level._bounds, level._head
-    raw = heads.tobytes()
+    of each tail run's heads for the item bytes of each neighbour, read
+    off the space's table.  Empty tail runs are skipped."""
+    bounds, items = level._bounds, level._space.items
+    raw = level._head.tobytes()
     drops = []
-    for v, row in enumerate(adj):
-        found = []
-        for u in row:
-            found += _matches(raw, array(heads.typecode, [u]).tobytes(),
-                              bounds[v], bounds[v + 1])
-        drops += sorted(found)
+    for row, lo, hi in zip(adj, bounds, bounds[1:]):
+        if lo < hi:
+            found = []
+            for u in row:
+                found += _matches(raw, items[u], lo, hi)
+            drops += sorted(found)
     return drops
 
 
@@ -662,17 +693,6 @@ def _matches(raw, item, lo, hi):
             found.append(j // size)
             j = raw.find(item, j + size, end)
     return found
-
-
-def _add_run(starts, offsets, lo, hi):
-    """Append the suffixes lo..hi - 1 to the runs, extending the last
-    run when it ends at lo, so that every run is maximal."""
-    if lo < hi:
-        if starts and starts[-1] + offsets[-1] - offsets[-2] == lo:
-            offsets[-1] += hi - lo
-        else:
-            starts.append(lo)
-            offsets.append(offsets[-1] + hi - lo)
 
 
 class NPathVerdict(NamedTuple):

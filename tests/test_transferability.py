@@ -507,8 +507,8 @@ def test_scc_summary_peaks_little_above_the_chain():
     8 bytes per state of levels 1..13 (374 814 states): per state a
     level keeps only its head, and reads suffixes and tails off its runs
     and tail-run bounds.  Counting the components allocates less than
-    3 MiB above that chain: no per-state list is built when the core is
-    one component."""
+    1 MiB above that chain: no per-state list is built when the core is
+    one component, and trimming keeps no per-node in-degree list."""
     graph = truncate(hex_torus(3, 3)).adjacency()
     tracemalloc.start()
     try:
@@ -523,7 +523,26 @@ def test_scc_summary_peaks_little_above_the_chain():
     assert states == 374_814
     assert chain < 8 * states, chain / states
     assert summary.count == 865
-    assert peak - chain < 3 << 20, (peak - chain) / (1 << 20)
+    assert peak - chain < 1 << 20, (peak - chain) / (1 << 20)
+
+
+def test_scc_summary_trims_in_under_8_bytes_per_node():
+    """At n = 13 on truncate(tri_torus(4,4)) H has 423 936 nodes and
+    trimming splits the transfer digraph into 10 369 components.
+    Counting them allocates less than 8 bytes per node of H: one trim
+    flag per node, with in-degrees kept only at the nodes the trimming
+    reaches and the cut summed over the trimmed nodes alone."""
+    dg = build_transfer_digraph(truncate(tri_torus(4, 4)).adjacency(), 13)
+    nodes = len(dg._first) - 1
+    tracemalloc.start()
+    try:
+        summary = dg.scc_summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes == 423_936
+    assert summary.count == 10_369
+    assert peak < 8 * nodes, peak / nodes
 
 
 def test_trees_leave_an_empty_core(tarjan_calls):
