@@ -8,13 +8,16 @@ amounts keyed only on degrees; stage B empties every major face
 (degree >= 7) equally onto its vertex incidences.
 
 Every charge, ledger amount and total a caller sees is a
-``fractions.Fraction``; floats never appear here.  Every rule moves
-charge through one routine, which records each move in the ledger,
-sums the moved numerators as ints per charge and denominator, and adds
-each sum to its charge as one Fraction.  The A rules commute (their
-amounts never read current charges), so they may be applied in any
-order before rule B; the canonical pipeline in :func:`run_discharge`
-runs A1, A2, A3, A4, B and asserts conservation after every step.
+``fractions.Fraction``; floats never appear here.  Every rule hands the
+state it was given and a stream of moves read from it to one routine,
+which alone advances the stage: it copies the state past the rule,
+records each move in the ledger, sums the moved numerators as ints per
+charge and denominator, and adds each sum to the copy's charge as one
+Fraction.  The state a rule is given is never changed.  The A rules
+commute (their amounts never read current charges), so they may be
+applied in any order before rule B; the canonical pipeline in
+:func:`run_discharge` runs A1, A2, A3, A4, B and asserts conservation
+after every step, naming the rule after which it failed.
 
 Every rule records each transfer in the :class:`TransferLedger` it is
 given; replaying the ledger over the initial charges must land exactly
@@ -112,7 +115,8 @@ class ChargeState(NamedTuple):
             for c in charges.values():
                 d = c.denominator
                 numerators[d] = numerators.get(d, 0) + c.numerator
-        return _sum(numerators)
+        return sum((Fraction(n, d) for d, n in numerators.items()),
+                   _ZERO)
 
     def _advance(self, rule):
         if rule in self.applied:
@@ -182,9 +186,12 @@ def initial_charges(top):
 
 
 def _transfer(state, ledger, rule, moves):
-    """Record ``moves``, (source, target, amount, note) tuples, in order;
-    once all are consumed, add each charge's moved numerators, summed as
-    ints per denominator, to it as one Fraction per denominator."""
+    """The state after ``rule``: a copy of ``state`` advanced past it, to
+    which ``moves``, (source, target, amount, note) tuples, are recorded
+    in order and applied, each charge's moved numerators summed as ints
+    per denominator and added to it as one Fraction per denominator.
+    ``state`` itself is left untouched, so the moves may read it."""
+    after = state._advance(rule)
     record = ledger.record
     delta = {}  # (charge, denominator) -> sum of numerators
     for source, target, amount, note in moves:
@@ -192,17 +199,17 @@ def _transfer(state, ledger, rule, moves):
         n, d = amount.as_integer_ratio()
         delta[source, d] = delta.get((source, d), 0) - n
         delta[target, d] = delta.get((target, d), 0) + n
-    charges = {"v": state.vertex_charge, "f": state.face_charge}
+    charges = {"v": after.vertex_charge, "f": after.face_charge}
     for ((kind, key), d), n in delta.items():
         charges[kind][key] += Fraction(n, d)
-    return state
+    return after
 
 
 def apply_rule_a1(state, top, ledger):
     """Vertices of degree >= 4 pay 1, 1/2, 1/5 per incident 3-, 4-, 5-face."""
     deg, fdeg = top.vertex_degrees, top.face_degrees
     note = cache("deg(v)=%d deg(a)=%d".__mod__)
-    return _transfer(state._advance("A1"), ledger, "A1", (
+    return _transfer(state, ledger, "A1", (
         (("v", v), ("f", f), _A1_AMOUNT[fdeg[f]], note((deg[v], fdeg[f])))
         for v in top.rs.vertices if deg[v] >= 4
         for f in top.vertex_faces[v] if fdeg[f] in _A1_AMOUNT))
@@ -213,7 +220,7 @@ def apply_rule_a2(state, top, ledger):
     at least two 6-faces."""
     deg, types = top.vertex_degrees, top.vertex_types
     note = cache("deg(v)=%d three-face with two six-faces".__mod__)
-    return _transfer(state._advance("A2"), ledger, "A2", (
+    return _transfer(state, ledger, "A2", (
         (("v", v), ("f", f), _A2_AMOUNT, note(deg[v]))
         for v in top.rs.vertices
         if deg[v] >= 4 and types[v].count(6) >= 2 and 3 in types[v]
@@ -223,39 +230,30 @@ def apply_rule_a2(state, top, ledger):
 def apply_rule_a3(state, top, ledger):
     """Across each weak or semi-weak edge with a minor face (degree 3, 4
     or 5, the degrees the tables price) on one side and a major face
-    (deg >= 7) on the other, the major face pays the tabulated amount."""
-    state = state._advance("A3")
-    moves = []
-    for e in top.rs.edges:
-        f1, f2 = top.edge_faces[e]
+    (deg >= 7) on the other, the major face pays the tabulated amount.
+    An edge with one face on both sides is refused before any move."""
+    for e, (f1, f2) in top.edge_faces.items():
         if f1 == f2:
             raise StructureError(
                 "edge %r has the same face on both sides; "
                 "not a closed 2-cell embedding" % (e,))
-        kind = top.classify_edge(e)
-        if kind == "normal":
-            continue
-        d1, d2 = top.face_degrees[f1], top.face_degrees[f2]
-        if 3 <= d1 <= 5 and d2 >= 7:
-            minor, major = f1, f2
-        elif 3 <= d2 <= 5 and d1 >= 7:
-            minor, major = f2, f1
-        else:
-            continue
-        amount = _A3_AMOUNT[kind][top.face_degrees[minor]][
-            bisect_right(_A3_BANDS, top.face_degrees[major])]
-        moves.append((("f", major), ("f", minor), amount,
-                      "%s edge %s deg(a)=%d deg(a')=%d"
-                      % (kind, e, top.face_degrees[minor],
-                         top.face_degrees[major])))
-    return _transfer(state, ledger, "A3", moves)
+    fdeg = top.face_degrees
+    return _transfer(state, ledger, "A3", (
+        (("f", major), ("f", minor),
+         _A3_AMOUNT[kind][fdeg[minor]][bisect_right(_A3_BANDS, fdeg[major])],
+         "%s edge %s deg(a)=%d deg(a')=%d"
+         % (kind, e, fdeg[minor], fdeg[major]))
+        for e, faces in top.edge_faces.items()
+        if (kind := top.classify_edge(e)) != "normal"
+        for minor, major in (faces, faces[::-1])
+        if 3 <= fdeg[minor] <= 5 and fdeg[major] >= 7))
 
 
 def apply_rule_a4(state, top, ledger):
     """Huge faces (degree >= 2519) refund 1/2 per incident (3,3,4,k)-vertex
     and 1/5 per incident (3,3,5,k)-vertex, k being the face's own degree."""
     note = cache("type %r with k=%d".__mod__)
-    return _transfer(state._advance("A4"), ledger, "A4", (
+    return _transfer(state, ledger, "A4", (
         (("f", f), ("v", v), _A4_AMOUNT[vt[2]], note((vt, k)))
         for f, k in enumerate(top.face_degrees) if k >= HUGE
         for v in top.faces[f].vertex_sequence
@@ -265,21 +263,13 @@ def apply_rule_a4(state, top, ledger):
 def apply_rule_b(state, top, ledger):
     """Every major face splits its entire charge equally over its vertex
     incidences and ends at zero; a face with a zero share records no
-    move.  The moves are generated while ``_transfer`` consumes them, and
-    it changes no charge before the last, so each share is read from the
-    face's charge before rule B."""
-    state = state._advance("B")
+    move."""
     note = cache("deg(a)=%d share of c*".__mod__)
     return _transfer(state, ledger, "B", (
         (("f", f), ("v", v), share, note(walk.degree))
         for f, walk in enumerate(top.faces) if top.face_degrees[f] >= 7
         if (share := Fraction(state.face_charge[f], walk.degree))
         for v in walk.vertex_sequence))
-
-
-def _sum(numerators):
-    """The Fraction sum of n/d over ``numerators``, denominator -> n."""
-    return sum((Fraction(n, d) for d, n in numerators.items()), _ZERO)
 
 
 def lemma1_bound(degree):
@@ -342,12 +332,12 @@ def run_discharge(top):
     state = initial_charges(top)
     expected = Fraction(-6 * top.euler_characteristic)
     _check_total(state, expected, "initial")
-    for rule in (apply_rule_a1, apply_rule_a2, apply_rule_a3, apply_rule_a4):
-        state = rule(state, top, ledger)
-        _check_total(state, expected, state.applied)
-    after_a = state
-    state = apply_rule_b(state, top, ledger)
-    _check_total(state, expected, "after_B")
+    rules = (apply_rule_a1, apply_rule_a2, apply_rule_a3, apply_rule_a4,
+             apply_rule_b)
+    for name, rule in zip(_A_RULES + ("B",), rules):
+        # after the last rule, after_a is the state rule B was handed
+        after_a, state = state, rule(state, top, ledger)
+        _check_total(state, expected, "rule " + name)
     return state, ledger, _audit(top, after_a, state)
 
 

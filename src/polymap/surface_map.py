@@ -239,7 +239,10 @@ def _trace_walks(neg, succ, pred):
     side +1 (b = 0) or -1 (b = 1), so states sort like ``(dart, side)``
     pairs taken +1 before -1, and each orbit begins at its smallest
     state.  An orbit is decided as it closes: kept as traced if its
-    mirror is not traced yet, dropped if it is.
+    mirror is not traced yet, dropped if it is.  An orbit that is its
+    own mirror contradicts the trace, a bug rather than bad input, and
+    raises RuntimeError, as does a corner ``MapTopology`` finds traced
+    twice or never.
     """
     # Arriving over dart i ^ 1, turn to its rotation successor while the
     # side times the signature reads +1, to its predecessor otherwise.
@@ -266,7 +269,7 @@ def _trace_walks(neg, succ, pred):
         # the signature makes of this one, reversed.
         mirror = orbit_of[start ^ 2 ^ (not neg[start >> 2])]
         if mirror == start:
-            raise StructureError("facial walk is its own mirror image")
+            raise RuntimeError("facial walk is its own mirror image")
         if mirror < 0:
             walks.append(orbit)
     # By smallest dart; two faces may share it, seen from its two
@@ -341,7 +344,7 @@ class MapTopology:
                 # the latter on side -1
                 c = nxt >> 1 if nxt & 1 else (s >> 1) ^ 1
                 if corner[c] >= 0:
-                    raise StructureError(
+                    raise RuntimeError(
                         "corner %d of vertex %r traced twice"
                         % (rs.rotation[vertex[c]].index(dart[c]), vertex[c]))
                 corner[c] = idx
@@ -349,7 +352,7 @@ class MapTopology:
                         for v, ids in zip(rs.vertices, rows)}
         if -1 in corner:
             v = next(v for v, faces in vertex_faces.items() if -1 in faces)
-            raise StructureError("corner of vertex %r never traced" % (v,))
+            raise RuntimeError("corner of vertex %r never traced" % (v,))
         self.faces = tuple(walks)
         self.vertex_faces = vertex_faces
         self.edge_faces = dict(zip(rs.edges, map(tuple, sides)))

@@ -572,11 +572,12 @@ def _grow(space, n, budget, digraph=None):
     The (m + 1)-paths from an m-path j are its moves minus the one onto
     its own tail, which would close a cycle; they keep lexicographic
     order, block j and suffix k for a move to state k, and the level
-    counts the moves it drops in ``_dropped``.  Each level is charged
-    its state count before it is built -- a depth-first search makes
-    that many extensions at depth m -- so the budget refuses a level
-    before any of it exists.  For n >= V there is no n-path and nothing
-    is built.
+    counts the moves it drops in ``_dropped``.  Each level, level 1
+    included, is charged its state count, the states its pieces copy --
+    a depth-first search makes that many extensions at depth m -- before
+    its heads and runs are built, so the budget refuses a level when
+    only its pieces and block sizes (one per state of the last level)
+    exist.  For n >= V there is no n-path and nothing is built.
 
     A level is built from the runs of the last one (``_runs``): the
     moves out of a run with suffixes s..s + L - 1 are the states
@@ -604,20 +605,14 @@ def _grow(space, n, budget, digraph=None):
     spent = sum(level.state_count for level in digraph._levels()) \
         if digraph else 0
     while digraph is None or digraph.n < n:
-        if digraph is None:
-            bounds, drops = range(len(adj) + 1), []
-            spent += sum(map(len, adj))
-        else:
-            bounds, drops = digraph._bounds, _tail_moves(adj, digraph)
-            spent += digraph.arc_count - len(drops)
-        if spent > budget:
-            raise _budget_error(budget, n)
         if digraph is None:  # a 1-path's p[1:] is its head vertex
+            bounds, drops = range(len(adj) + 1), []
             heads = array(code, range(len(adj)))
             sizes = array(code, map(len, adj))
             pieces = [(k, k + 1)
                       for k in itertools.chain.from_iterable(adj)]
         else:
+            bounds, drops = digraph._bounds, _tail_moves(adj, digraph)
             first, heads = digraph._first, digraph._head
             run_starts, run_offsets = digraph._runs
             sizes = array(code)
@@ -638,6 +633,9 @@ def _grow(space, n, budget, digraph=None):
                     lo = k + 1
                     d += 1
                 pieces.append((lo, first[s + end - start]))
+        spent += sum(hi - lo for lo, hi in pieces)
+        if spent > budget:
+            raise _budget_error(budget, n)
         # each piece adds the states lo..hi - 1 of the last level, in
         # order, as suffixes with their heads; it extends the last run
         # in place where that ends at lo, so that every run is maximal

@@ -9,9 +9,11 @@ from polymap.discharging import (HUGE, ChargeState, TransferLedger,
                                  _check_total, apply_rule_a1, apply_rule_a2,
                                  apply_rule_a3, apply_rule_a4, apply_rule_b,
                                  initial_charges, lemma1_bound, run_discharge)
+from polymap.cli import main
 from polymap.errors import StructureError
 from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
+from polymap.mapfile import serialize_map
 from polymap.surface_map import RotationSystem, topology
 from polymap.validity import check_polyhedral
 
@@ -21,6 +23,8 @@ from conftest import (antiprism, audit_by_moves, discharge_by_moves, drum,
 F = Fraction
 
 _A_RULES = (apply_rule_a1, apply_rule_a2, apply_rule_a3, apply_rule_a4)
+_PIPELINE = tuple(zip(("A1", "A2", "A3", "A4", "B"),
+                      _A_RULES + (apply_rule_b,)))
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,45 @@ def test_check_total_catches_a_charge_off_by_a_twelfth(trunc_hex):
             _check_total(state, F(0), state.stage)
 
 
+def test_each_rule_leaves_the_state_it_was_handed(corpus_tops):
+    """Applied in pipeline order, every rule leaves the state it was
+    handed as it was, charges and ``applied``, and returns a state that
+    has gained exactly its own rule: on the corpus and on the three maps
+    the tori-verify benchmark discharges."""
+    tops = list(corpus_tops.values()) + [
+        topology(rs) for rs in (tri_torus(12, 12), truncate(hex_torus(6, 6)),
+                                truncate(hex_klein(4, 4)))]
+    for top in tops:
+        state = initial_charges(top)
+        ledger = TransferLedger()
+        for name, rule in _PIPELINE:
+            before = (dict(state.vertex_charge), dict(state.face_charge),
+                      state.applied)
+            after = rule(state, top, ledger)
+            assert (state.vertex_charge, state.face_charge,
+                    state.applied) == before, name
+            assert after.applied == state.applied | {name}, name
+            state = after
+
+
+def test_conservation_failure_names_the_rule(capsys, monkeypatch, trunc_hex,
+                                             tmp_path):
+    """A total off by 1/7 once A2 has run: ``run_discharge`` names rule
+    A2, not the set of rules applied, and ``discharge`` prints that one
+    line and exits 4."""
+    total = ChargeState.total
+    monkeypatch.setattr(ChargeState, "total", lambda state: total(state) + (
+        F(1, 7) if "A2" in state.applied else 0))
+    message = "charge conservation broken at rule A2: total 1/7, expected 0"
+    with pytest.raises(RuntimeError) as info:
+        run_discharge(trunc_hex[0])
+    assert str(info.value) == message
+    path = tmp_path / "th33.map"
+    path.write_text(serialize_map(trunc_hex[0].rs), encoding="utf-8")
+    assert main(["discharge", str(path)]) == 4
+    assert capsys.readouterr() == ("", "internal error: %s\n" % message)
+
+
 def test_truncated_hex_worked_example(trunc_hex):
     top, final, ledger, audit = trunc_hex
     tri = [f for f, d in enumerate(top.face_degrees) if d == 3]
@@ -322,7 +365,8 @@ def test_rule_a2_on_the_kagome_torus():
 
 def test_a3_rejects_minor_and_major_on_same_face():
     path = topology(RotationSystem({"u": ["e"], "w": ["e"]}))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError,
+                       match="edge 'e' has the same face on both sides"):
         apply_rule_a3(initial_charges(path), path, TransferLedger())
 
 

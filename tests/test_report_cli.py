@@ -17,6 +17,7 @@ import pytest
 import polymap
 import polymap.curvature_light
 import polymap.report
+import polymap.surface_map
 import polymap.validity
 from conftest import drum
 from polymap.cli import _build_parser, main
@@ -679,3 +680,15 @@ def test_unconfirmed_separation_pair_exits_4(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_face_trace_contradiction_exits_4(capsys, monkeypatch, hex33_file):
+    """A face trace that leaves a corner untraced contradicts itself, a
+    bug in polymap rather than a malformed map: one stderr line and exit
+    4, not the exit 2 of bad input."""
+    trace = polymap.surface_map._trace_walks
+    monkeypatch.setattr(polymap.surface_map, "_trace_walks",
+                        lambda *tables: trace(*tables)[1:])
+    code, out, err = run_cli(capsys, monkeypatch, ["analyze", hex33_file])
+    assert (code, out) == (4, "")
+    assert err == "internal error: corner of vertex 'a0.0' never traced\n"
