@@ -156,16 +156,15 @@ def gauss_bonnet_sum(top):
 
 
 def match_light(vertex_type):
-    """First table row matching the (sorted) type, or None.
+    """First table row matching the type, or None.
 
-    The input may arrive in any order; it is sorted once before the
-    rows are tried, so permutations of the same multiset always agree.
-    Each row's ``matches`` rejects a type of another length, so a type
-    of degree below 3 or above 6 matches no row.
+    The input may arrive in any order; each row's ``matches`` sorts it,
+    so permutations of the same multiset always agree.  Each row also
+    rejects a type of another length, so a type of degree below 3 or
+    above 6 matches no row.
     """
-    vt = sorted(vertex_type)
     for row in LIGHT_TABLE:
-        if row.matches(vt):
+        if row.matches(vertex_type):
             return row
     return None
 
@@ -200,7 +199,10 @@ def scan_theorem2(top, validity):
     The table is matched once per distinct vertex type.
 
     ``validity`` is the ValidityReport of the same topology (the caller
-    usually has it already; the hypotheses need it).
+    usually has it already; the hypotheses need it).  Its ``polyhedral``
+    alone says simple and polyhedral: ``check_polyhedral`` raises when a
+    wheel neighborhood comes with a loop, a parallel edge or a vertex of
+    degree below 3.
     """
     chi = top.euler_characteristic
     n = top.num_vertices
@@ -208,8 +210,7 @@ def scan_theorem2(top, validity):
     rows = {t: match_light(t) for t in set(types.values())}
     light = tuple((v, rows[t]) for v, t in types.items()
                   if rows[t] is not None)
-    simple_polyhedral = (validity.polyhedral and validity.is_simple
-                         and validity.min_degree_ok)
+    simple_polyhedral = validity.polyhedral
     chi_ok = chi <= 0
     size_ok = n > VERTEX_FACTOR * abs(chi)
     if not (simple_polyhedral and chi_ok and size_ok):

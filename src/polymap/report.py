@@ -54,15 +54,12 @@ def topology_section(top):
 
 
 def validity_section(report):
-    return {
-        "is_simple": report.is_simple,
-        "min_degree_ok": report.min_degree_ok,
-        "closed_2cell": report.closed_2cell,
-        "wheel_neighborhood": report.wheel_neighborhood,
-        "three_connected": report.three_connected,
-        "polyhedral": report.polyhedral,
-        "witnesses": [[str(part) for part in w] for w in report.witnesses],
-    }
+    # the keys are ValidityReport's fields in order, so reordering them
+    # changes the report; witness parts become strings
+    section = report._asdict()
+    section["witnesses"] = [[str(part) for part in w]
+                            for w in report.witnesses]
+    return section
 
 
 def curvature_section(top):

@@ -36,14 +36,16 @@ H is the transfer digraph of the (n - 1)-paths less their moves onto
 their own tails, so where the graph has no n-cycle the two are equal,
 and a sweep that found n - 1 transferable carries that verdict to n
 with no search (H strongly connected makes its line digraph so).
-A stuck n-path, one with no move, is a sink of the n-transfer digraph:
-a state whose block is empty.  So past its first start an exhaustive
-search for one is read off the chain of levels 1..n.
+A stuck n-path, one with no move, is a sink of the n-transfer digraph,
+so its suffix's block is empty: a chain of levels 1..n with no empty
+block proves that there is none, and only a depth-first search finds
+one.
 State counts grow quickly with n; a configurable budget on path
 extensions -- the states of every level up to n, which are the steps a
 path search makes, prefixes included -- aborts runs that would not fit
 in memory or time.  The chain is charged exactly what an exhaustive
-search is, so the stuck search answers alike either way.
+search is, so a search run after a chain that fits stays within the
+budget.
 
 Graphs are plain adjacency mappings (vertex -> iterable of neighbours),
 e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
@@ -219,7 +221,7 @@ class TransferDigraph:
     The states whose first n vertices are the (n - 1)-path b form the
     block ``range(_first[b], _first[b + 1])``; ``_sizes``, the block
     sizes in the vertex typecode, is ``_first``'s differences, kept
-    because ``_grow`` gathers it by slicing and ``_first_sink``
+    because ``_grow`` gathers it by slicing and ``find_stuck``
     byte-searches it, where deriving it would cost a Python step per
     state.  A state's suffix is the index of its p[1:] among the
     (n - 1)-paths, so ``_first`` and the suffixes are the offset/target
@@ -784,16 +786,18 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     charged against ``budget``.  A simple n-path needs n + 1 distinct
     vertices, so for n >= V there is none and no search is run.
 
-    A depth-first search from the first start (``_search_stuck``)
-    answers when that start has a stuck path.  Otherwise the rest of an
-    exhaustive search is read off the level chain: a stuck n-path is a
-    sink of the n-transfer digraph, a state whose block of moves is
-    empty (``_first_sink``).  Building levels 1..n is charged their
-    states, which are exactly the extensions of an exhaustive search,
-    so a chain within the budget gives the search's witness or None;
-    when the budget refuses the chain, the depth-first search runs
-    again over all starts, the first one included: it is the whole
-    search, so it stops or raises where the whole search does.
+    Every witness comes from the depth-first search
+    (``_search_stuck``).  It runs first from the first start alone,
+    which answers when that start has a stuck path.  Otherwise the level
+    chain answers only whether there is none: a stuck n-path is a sink
+    of the n-transfer digraph, so the block of its suffix is empty, and
+    with no empty block among levels 1..n there is no stuck path.
+    Building those levels is charged their states, exactly the
+    extensions of an exhaustive search.  When a block is empty, or the
+    budget refuses the chain, the search runs again over all starts,
+    the first one included: it is the whole search, so it stops or
+    raises where the whole search does, and after a chain that fits it
+    stays within the budget.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
@@ -809,11 +813,14 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     path = _search_stuck(adj, n, starts[:1], budget)
     if path is None:
         try:
-            chain = _grow(space, n, budget)
+            sizes = _grow(space, n, budget)._sizes
         except BudgetError:
-            path = _search_stuck(adj, n, starts, budget)
-        else:
-            path = _first_sink(chain, starts[1:])
+            pass
+        else:  # a stuck n-path's suffix has an empty block
+            if not _matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
+                            len(sizes)):
+                return None
+        path = _search_stuck(adj, n, starts, budget)
     return None if path is None else \
         StuckWitness(path=space.decode(path), anchor=anchor)
 
@@ -821,7 +828,8 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
 def _search_stuck(adj, n, starts, budget):
     """Depth-first search for a stuck n-path from each of ``starts`` in
     turn, every extension charged against ``budget``: the first one's
-    vertex indices, or None.
+    vertex indices, or None.  It is the only search that returns a stuck
+    path; the level chain only proves that there is none.
 
     The path is a list with an on-path flag per vertex and one
     neighbour iterator per depth.  The n-path ``path + [w]`` is stuck
@@ -853,28 +861,6 @@ def _search_stuck(adj, n, starts, budget):
             else:
                 nexts.pop()
                 on_path[path.pop()] = 0
-    return None
-
-
-def _first_sink(level, starts):
-    """Vertex indices of the first state of ``level`` with no move,
-    taking its tail runs (``_bounds``) in the order of ``starts`` and
-    each in index order, or None.  A state is a sink iff the block of
-    its suffix is empty, a dead end (``_sizes`` 0): with none in the
-    whole array there is no sink, and otherwise each tail run is
-    byte-searched, one interval of suffixes per run it meets, for one."""
-    raw, zero = level._sizes.tobytes(), bytes(level._sizes.itemsize)
-    if not _matches(raw, zero, 0, len(level._sizes)):
-        return None
-    bounds = level._bounds
-    for v in starts:
-        a = bounds[v]
-        for r in _suffixes(level._runs, a, bounds[v + 1]):
-            dead = _matches(raw, zero, r.start, r.stop)
-            if dead:
-                sink = a + dead[0] - r.start
-                return [walk[0] for walk in level._walks([sink])]
-            a += len(r)
     return None
 
 

@@ -5,16 +5,16 @@ and only if the faces around every vertex form a wheel (>= 3 spokes,
 possibly subdivided rim).  Closed 2-cell, traced once per report,
 settles that each vertex's corners lie in distinct faces whose walks
 span consecutive spokes; the wheel loop checks the rest (>= 3 spokes,
-distinct spoke ends, a simple rim).  The global consequences
-(3-connectivity, closed 2-cell) are cross-checked against the wheel
-verdict; a disagreement in the implied direction is a bug in this
-package, not bad input, and raises RuntimeError.  3-connectivity is
-decided on a single DFS tree, O((V + E) log V), which also marks the
-vertices that lie in some separating pair.  A graph that fails names
-the first separating pair in sorted order by the same search on G - u
-for the first marked u, and a pair that no deletion confirms raises
-RuntimeError too; only a graph with a cut vertex tries the vertices
-in turn until one confirms.
+distinct spoke ends, a simple rim).  What a wheel implies (no loop or
+parallel edge, minimum degree 3, closed 2-cell, 3-connectivity) is
+cross-checked against the wheel verdict; a disagreement in the implied
+direction is a bug in this package, not bad input, and raises
+RuntimeError.  3-connectivity is decided on a single DFS tree,
+O((V + E) log V), which also marks the vertices that lie in some
+separating pair.  A graph that fails names the first separating pair in
+sorted order by the same search on G - u for the first marked u, and a
+pair that no deletion confirms raises RuntimeError too; only a graph
+with a cut vertex tries the vertices in turn until one confirms.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -397,7 +397,14 @@ def _first_separating_pair(names, adj, candidates):
 
 
 def check_polyhedral(top):
-    """Aggregate all checks; polyhedral is decided by the wheel test."""
+    """Aggregate all checks; polyhedral is decided by the wheel test.
+
+    A wheel at every vertex has no loop (a spoke ending at its vertex),
+    no parallel edge (a repeated spoke end) and no vertex of degree
+    below 3, so it implies ``is_simple`` and ``min_degree_ok`` as well
+    as closed 2-cell faces and 3-connectivity; a report that says
+    otherwise raises RuntimeError.
+    """
     witnesses = []
     simple, degree_ok, w = check_simple_map(top)
     if w is not None:
@@ -409,10 +416,11 @@ def check_polyhedral(top):
     three, cut = check_3_connected(top.rs.adjacency())
     if not three:
         witnesses.append(("cut_pair",) + tuple(cut or ()))
-    if wheel and not (three and closed):
+    if wheel and not (three and closed and simple and degree_ok):
         raise RuntimeError(
             "wheel-neighborhood verdict contradicts 3-connectivity/"
-            "closed-2-cell on this input; this is a bug, witnesses: %r"
+            "closed-2-cell/simplicity/minimum degree on this input; this "
+            "is a bug, witnesses: %r"
             % (witnesses,))
     return ValidityReport(
         is_simple=simple,

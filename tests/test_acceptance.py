@@ -225,13 +225,15 @@ def test_criterion_8_curvature_thresholds():
 
 def test_criterion_9_wheel_implies_polyhedral(corpus, corpus_tops,
                                               corpus_validity):
-    """Wheel neighborhoods force 3-connectivity and closed 2-cell faces,
-    on every corpus map and on 100 randomized local perturbations."""
+    """Wheel neighborhoods force 3-connectivity, closed 2-cell faces, no
+    loop or parallel edge and minimum degree 3, on every corpus map and
+    on 100 randomized local perturbations."""
     for name in corpus_tops:
         report = corpus_validity[name]
         if report.wheel_neighborhood:
             assert report.three_connected, name
             assert report.closed_2cell, name
+            assert report.is_simple and report.min_degree_ok, name
 
     rng = seeded_rng(909)
     names = sorted(corpus)
@@ -242,3 +244,4 @@ def test_criterion_9_wheel_implies_polyhedral(corpus, corpus_tops,
         if report.wheel_neighborhood:
             assert report.three_connected, (name, i)
             assert report.closed_2cell, (name, i)
+            assert report.is_simple and report.min_degree_ok, (name, i)

@@ -1,6 +1,7 @@
 """Klein's regular maps {3,7} and {7,3} and their truncations: the first
 polyhedral test maps with chi < 0; then seeded random regular maps from
-PSL(2, q), q in {7, 11, 13}, with the package's identities on each.
+PSL(2, q), q in {7, 11, 13}, with the package's identities on each and
+on their Petrie duals.
 
 PSL(2,7) acts on the projective line over F_7, points 0..6 and 7 for
 infinity.  With x: z -> z + 1 and y: z -> -1/z, rotating by x gives
@@ -256,3 +257,29 @@ def test_random_regular_maps_discharge():
         if not audit.lemma1_violations:
             assert {v for v, _ in audit.lemma2_violations} <= light
         assert not audit.contradiction
+
+
+def test_random_petrie_duals():
+    """The Petrie half of the draws: every generating pair's Petrie dual
+    is non-orientable with sum of Phi equal to chi (chi runs from -384 to
+    -7), and its truncation keeps chi and non-orientability.  Floors on
+    what the draws reach: 14 duals are polyhedral, in 6 shapes (q, V,
+    chi), and 36 have a polyhedral truncation, in 13 shapes."""
+    polyhedral, shapes = 0, set()
+    truncated, truncated_shapes = 0, set()
+    for q, rs in _RANDOM:
+        prs = petrie(rs)
+        top = topology(prs)
+        chi = top.euler_characteristic
+        assert chi < 0 and not top.orientable
+        assert gauss_bonnet_sum(top) == chi
+        if check_polyhedral(top).polyhedral:
+            polyhedral += 1
+            shapes.add((q, top.num_vertices, chi))
+        ttop = topology(truncate(prs))
+        assert (ttop.euler_characteristic, ttop.orientable) == (chi, False)
+        if check_polyhedral(ttop).polyhedral:
+            truncated += 1
+            truncated_shapes.add((q, ttop.num_vertices, chi))
+    assert polyhedral >= 14 and len(shapes) >= 6
+    assert truncated >= 36 and len(truncated_shapes) >= 13

@@ -283,6 +283,30 @@ def test_a_file_and_stdin_give_one_map_under_pythonioencoding(tmp_path):
     assert runs[0].stderr == runs[1].stderr == b""
 
 
+def test_python_m_polymap_runs_the_command_line():
+    """``python -m polymap`` is the command line: ``gen tetrahedron``
+    piped into ``check -`` exits 0, and the malformed line ``v a: e+ e``
+    exits 2 with one ``error: line 1:`` line on stderr and no
+    traceback."""
+    src = os.path.dirname(os.path.dirname(polymap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(argv, data=None):
+        return subprocess.run([sys.executable, "-m", "polymap"] + argv,
+                              input=data, env=env, capture_output=True,
+                              timeout=60)
+
+    gen = run(["gen", "tetrahedron"])
+    assert (gen.returncode, gen.stderr) == (0, b"")
+    assert parse_map(gen.stdout.decode("utf-8")) == tetrahedron()
+    assert run(["check", "-"], gen.stdout).returncode == 0
+    bad = run(["check", "-"], b"v a: e+ e\n")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    lines = bad.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 1: "), lines
+    assert b"Traceback" not in bad.stderr
+
+
 @pytest.mark.parametrize("data,line,byte", [
     (b"v 0\xff: a+\n", 1, 0xff),
     (b"v 0: a+ b+ c+\nv 1: a+ \xc3(+\n", 2, 0xc3),
@@ -658,6 +682,23 @@ def test_internal_contradiction_exits_4(capsys, monkeypatch, tmp_path):
     path.write_text(serialize_map(tetrahedron()), encoding="utf-8")
     monkeypatch.setattr(polymap.validity, "check_3_connected",
                         lambda graph: (False, ("0", "1")))
+    code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_wheel_against_simplicity_exits_4(capsys, monkeypatch, tmp_path):
+    """A wheel verdict that the simplicity check contradicts (a loop the
+    wheel test missed) is a bug in polymap too: ``check_polyhedral``
+    raises, and the CLI prints one stderr line and exits 4."""
+    path = tmp_path / "tetra.map"
+    path.write_text(serialize_map(tetrahedron()), encoding="utf-8")
+    monkeypatch.setattr(polymap.validity, "check_simple_map",
+                        lambda top: (False, True, ("loop", "e", "0")))
+    with pytest.raises(RuntimeError, match="simplicity"):
+        polymap.validity.check_polyhedral(topology(tetrahedron()))
     code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])
     assert code == 4
     assert out == ""

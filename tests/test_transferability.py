@@ -835,29 +835,34 @@ def test_stuck_search_charges_every_extension():
 
 def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
         monkeypatch):
-    """Past the first start ``find_stuck`` reads the level chain, charged
-    every state of levels 1..n, and when the budget refuses the chain
-    the depth-first search runs again over all starts, the first one
+    """Past the first start ``find_stuck`` builds the level chain,
+    charged every state of levels 1..n, and asks it only whether a block
+    is empty; when one is, or when the budget refuses the chain, the
+    depth-first search runs again over all starts, the first one
     included.  Where only a later start has a stuck path, a budget of
     exactly the extensions a depth-first search makes up to it returns
     the default witness, and one less raises with that count.  The
-    cases take every route: a witness from the first start, one from
-    the chain, a chain with none and a refused chain."""
+    cases take every route: a witness from the first start, a chain with
+    no empty block, an empty block then the search, and a refused
+    chain."""
     module = sys.modules[transferability.__module__]
-    grow, first_sink = module._grow, module._first_sink
+    grow, matches = module._grow, module._matches
     routes, taken, later = [], set(), 0
 
     def traced_grow(*args):
         try:
-            return grow(*args)
+            chain = grow(*args)
         except BudgetError:
             routes.append("refused")
             raise
+        routes.append("chain")
+        return chain
 
-    def traced_sink(level, starts):
-        path = first_sink(level, starts)
-        routes.append("none" if path is None else "chain")
-        return path
+    def traced_matches(*args):
+        found = matches(*args)
+        if routes[-1:] == ["chain"]:  # the first call past the chain
+            routes.append("empty block" if found else "none")
+        return found
 
     def route(n, graph, budget=DEFAULT_BUDGET):
         routes.clear()
@@ -866,7 +871,7 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
         return witness
 
     monkeypatch.setattr(module, "_grow", traced_grow)
-    monkeypatch.setattr(module, "_first_sink", traced_sink)
+    monkeypatch.setattr(module, "_matches", traced_matches)
     for name, graph, _ in _random_cases():
         space = _Space(graph)
         for n in range(1, len(graph)):
@@ -885,7 +890,7 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
                 "more than %d path extensions while enumerating directed "
                 "%d-paths; raise the budget to enumerate them"
                 % (count - 1, n)), (name, n)
-    assert taken == {"first", "chain", "none", "refused"}, taken
+    assert taken == {"first", "none", "empty block", "refused"}, taken
     assert later > 0
 
 

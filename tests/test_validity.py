@@ -130,8 +130,9 @@ def test_3_connectivity_against_networkx():
 
 
 def test_wheel_on_corpus_perturbations_implies_polyhedral_parts(corpus):
-    """check_polyhedral cross-checks wheel => 3-connected & closed 2-cell
-    internally; it must never raise on structurally valid rotation systems."""
+    """check_polyhedral cross-checks wheel => 3-connected, closed 2-cell,
+    simple and minimum degree 3 internally; it must never raise on
+    structurally valid rotation systems."""
     rng = seeded_rng(8)
     small = [rs for rs in corpus.values() if len(rs.vertices) <= 20]
     for _ in range(40):
@@ -139,6 +140,7 @@ def test_wheel_on_corpus_perturbations_implies_polyhedral_parts(corpus):
         report = check_polyhedral(topology(rs))
         if report.wheel_neighborhood:
             assert report.three_connected and report.closed_2cell
+            assert report.is_simple and report.min_degree_ok
 
 
 def random_graph(rng, num_vertices, edge_prob, loop_prob):
