@@ -5,7 +5,10 @@ polyhedrality checks, combinatorial curvature and light vertices,
 exact-rational discharging, and path transferability.
 
 The package's public names are those of each module's ``__all__``,
-re-exported here as they are.
+re-exported here as they are.  No ``__all__`` lists a submodule's name,
+so every submodule stays reachable under its own name:
+``polymap.transferability`` is the module, and its sweep function is
+imported from there.
 """
 
 from .curvature_light import *

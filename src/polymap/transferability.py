@@ -64,6 +64,8 @@ from typing import NamedTuple
 
 from .errors import BudgetError, StructureError
 
+# The sweep function transferability is not listed: the package
+# re-exports this list, and there it would hide this module.
 __all__ = [
     "DEFAULT_BUDGET",
     "PathState",
@@ -77,7 +79,6 @@ __all__ = [
     "build_transfer_digraph",
     "n_verdict",
     "is_n_transferable",
-    "transferability",
     "find_stuck",
 ]
 
@@ -153,8 +154,9 @@ class _Space:
                         "adjacency is not symmetric between %r and %r"
                         % (self.names[i], self.names[j]))
         self.adj = tuple(adj)
-        # level arrays hold vertex indices as 16-bit ints when they fit
-        self.typecode = "H" if len(self.names) <= 1 << 16 else "l"
+        # level arrays hold vertex indices as 16-bit ints when they fit,
+        # else as 32-bit ints
+        self.typecode = "H" if len(self.names) <= 1 << 16 else "i"
 
     @functools.cached_property
     def items(self):

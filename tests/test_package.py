@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import types
@@ -12,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 import polymap
+from polymap import (curvature_light, discharging, errors, generators,
+                     mapfile, surface_map, transferability, validity)
 from polymap.curvature_light import LightPattern, TheoremScan
 from polymap.discharging import ChargeState, LemmaAudit, TransferLedger
 from polymap.errors import StructureError
@@ -20,10 +23,11 @@ from polymap.transferability import (NPathVerdict, PathState, SccSummary,
                                      StuckWitness, TransferabilityResult)
 from polymap.validity import ValidityReport
 
-# by import path: the attribute polymap.transferability is the function
-_MODULES = [importlib.import_module("polymap." + name) for name in (
-    "curvature_light", "discharging", "errors", "generators", "mapfile",
-    "surface_map", "transferability", "validity")]
+_MODULES = [curvature_light, discharging, errors, generators, mapfile,
+            surface_map, transferability, validity]
+
+_SUBMODULES = [m.name for m in pkgutil.iter_modules(polymap.__path__)
+               if not m.name.startswith("_")]
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -53,6 +57,18 @@ def test_public_names_are_the_modules_all():
     for m in _MODULES:
         for name in m.__all__:
             assert getattr(polymap, name) is getattr(m, name), name
+
+
+def test_every_submodule_keeps_its_name():
+    """No re-exported name hides a submodule: ``polymap.<name>`` is the
+    submodule of that name, and no re-exported module's ``__all__``
+    holds a submodule's name."""
+    assert "transferability" in _SUBMODULES and "cli" in _SUBMODULES
+    for name in _SUBMODULES:
+        module = importlib.import_module("polymap." + name)
+        assert getattr(polymap, name) is module, name
+    for m in _MODULES:
+        assert not set(m.__all__) & set(_SUBMODULES), m.__name__
 
 
 def test_cli_imports_only_the_package():

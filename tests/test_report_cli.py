@@ -733,3 +733,50 @@ def test_face_trace_contradiction_exits_4(capsys, monkeypatch, hex33_file):
     code, out, err = run_cli(capsys, monkeypatch, ["analyze", hex33_file])
     assert (code, out) == (4, "")
     assert err == "internal error: corner of vertex 'a0.0' never traced\n"
+
+
+def test_face_trace_mirror_and_repeat_exit_4(capsys, monkeypatch,
+                                             tmp_path):
+    """The face trace's other two self-contradictions: an orbit that is
+    its own mirror image, and a corner that two orbits both pass, which
+    a trace that returns its first orbit twice makes on
+    ``tri_torus(4, 4)``: one stderr line and exit 4."""
+    with pytest.raises(RuntimeError,
+                       match="^facial walk is its own mirror image$"):
+        polymap.surface_map._trace_walks([True], [1, 0], [0, 1])
+    path = tmp_path / "tt44.map"
+    path.write_text(serialize_map(tri_torus(4, 4)), encoding="utf-8")
+    trace = polymap.surface_map._trace_walks
+    monkeypatch.setattr(polymap.surface_map, "_trace_walks",
+                        lambda *tables: trace(*tables)[:1] + trace(*tables))
+    code, out, err = run_cli(capsys, monkeypatch, ["check", str(path)])
+    assert (code, out) == (4, "")
+    assert err == "internal error: corner 4 of vertex '0.1' traced twice\n"
+
+
+def test_a_map_with_no_light_vertex_is_a_counterexample(capsys, monkeypatch,
+                                                       tmp_path):
+    """Were the light table to match no vertex of a map that meets the
+    hypotheses (``tri_torus(4, 4)``: polyhedral, χ = 0), ``analyze``
+    would report a counterexample candidate, and ``discharge`` a
+    contradiction: all 16 degree-6 vertices end below 1/21, with no
+    light vertex to excuse them, so it exits 1."""
+    path = tmp_path / "tt44.map"
+    path.write_text(serialize_map(tri_torus(4, 4)), encoding="utf-8")
+    monkeypatch.setattr(polymap.curvature_light, "match_light",
+                        lambda vertex_type: None)
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["analyze", str(path), "--format", "json"])
+    light = json.loads(out)["light"]
+    assert (code, light["verdict"], light["light_count"]) == (
+        0, "counterexample-candidate", 0)
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["discharge", str(path), "--format", "json"])
+    audit = json.loads(out)["discharge"]["audit"]
+    assert code == 1
+    assert (audit["contradiction"], audit["hypotheses_met"],
+            audit["light_count"]) == (True, True, 0)
+    assert audit["lemma1_violations"] == []
+    assert audit["lemma2_violations"] == [
+        {"vertex": "%d.%d" % (i, j), "charge": "0/1"}
+        for i in range(4) for j in range(4)]

@@ -640,10 +640,10 @@ def test_wide_levels_answer_alike(monkeypatch):
 
     def wide(self, graph):
         init(self, graph)
-        self.typecode = "l"
+        self.typecode = "i"
 
     monkeypatch.setattr(_Space, "__init__", wide)
-    assert build_transfer_digraph(cycle_graph(5), 2)._head.typecode == "l"
+    assert build_transfer_digraph(cycle_graph(5), 2)._head.typecode == "i"
     assert answers() == narrow
     test_chain_readers_match_the_copying_oracle()
 
@@ -897,7 +897,7 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
 def test_tail_moves_match_the_index_scan():
     """``_tail_moves`` finds the moves onto a tail by a byte search of
     the heads' raw bytes and equals the ``array.index`` scan: on levels
-    1..13 of both cubic maps, on 64-bit heads past 65 536 vertices, and
+    1..13 of both cubic maps, on 32-bit heads past 65 536 vertices, and
     on a level where heads 256 then 1 in tail run 0 hold the bytes of
     257, a neighbour of vertex 0, across two 16-bit items."""
     edges = ((0, 2), (0, 3), (0, 256), (0, 257), (2, 256), (1, 3))
@@ -914,7 +914,7 @@ def test_tail_moves_match_the_index_scan():
         tail_moves_by_index(adj, level)
     assert _tail_moves(adj, level)[:2] == [0, 2]
     levels = [build_transfer_digraph(path_graph(70000), 1)]
-    assert levels[0]._head.typecode == "l"
+    assert levels[0]._head.typecode == "i"
     for rs in (truncate(hex_torus(3, 3)), truncate(hex_klein(3, 3))):
         levels += build_transfer_digraph(rs.adjacency(), 13)._levels()
     for level in levels:
