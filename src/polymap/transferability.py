@@ -44,8 +44,8 @@ State counts grow quickly with n; a configurable budget on path
 extensions -- the states of every level up to n, which are the steps a
 path search makes, prefixes included -- aborts runs that would not fit
 in memory or time.  The chain is charged exactly what an exhaustive
-search is, so a search run after a chain that fits stays within the
-budget.
+search is, so a search that goes on past a chain that fits stays
+within the budget.
 
 Graphs are plain adjacency mappings (vertex -> iterable of neighbours),
 e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
@@ -741,8 +741,8 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
 
     Without ``max_n`` the sweep runs until the first n with no n-path,
     which it leaves out, so ``search_bound`` is the graph's exact
-    longest-path length.  That is an exhaustive search, only feasible
-    for small graphs.
+    longest-path length unless ``truncated_at`` is set.  That is an
+    exhaustive search, only feasible for small graphs.
     """
     if max_n is not None and max_n < 1:
         raise ValueError("path length must be at least 1")
@@ -788,18 +788,16 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
     charged against ``budget``.  A simple n-path needs n + 1 distinct
     vertices, so for n >= V there is none and no search is run.
 
-    Every witness comes from the depth-first search
-    (``_search_stuck``).  It runs first from the first start alone,
-    which answers when that start has a stuck path.  Otherwise the level
-    chain answers only whether there is none: a stuck n-path is a sink
-    of the n-transfer digraph, so the block of its suffix is empty, and
-    with no empty block among levels 1..n there is no stuck path.
-    Building those levels is charged their states, exactly the
-    extensions of an exhaustive search.  When a block is empty, or the
-    budget refuses the chain, the search runs again over all starts,
-    the first one included: it is the whole search, so it stops or
-    raises where the whole search does, and after a chain that fits it
-    stays within the budget.
+    One depth-first search runs over the starts and returns every
+    witness.  The path is a list with an on-path flag per vertex and
+    one neighbour iterator per depth; the n-path ``path + [w]`` is stuck
+    iff every neighbour of w is on the path and is not its tail.  When
+    the first start has no stuck path, the search asks the level chain
+    once, before the second start, whether any can be stuck
+    (``_may_be_stuck``), and returns None if none can.  Otherwise it
+    goes on with the second start, its count where the first start left
+    it, so it stops or raises where the whole search does, and after a
+    chain that fits it stays within the budget.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
@@ -812,34 +810,11 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
         starts = sorted(starts, key=lambda i: (dist[i], i))
     if n >= len(space.names):
         return None
-    path = _search_stuck(adj, n, starts[:1], budget)
-    if path is None:
-        try:
-            sizes = _grow(space, n, budget)._sizes
-        except BudgetError:
-            pass
-        else:  # a stuck n-path's suffix has an empty block
-            if not _matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
-                            len(sizes)):
-                return None
-        path = _search_stuck(adj, n, starts, budget)
-    return None if path is None else \
-        StuckWitness(path=space.decode(path), anchor=anchor)
-
-
-def _search_stuck(adj, n, starts, budget):
-    """Depth-first search for a stuck n-path from each of ``starts`` in
-    turn, every extension charged against ``budget``: the first one's
-    vertex indices, or None.  It is the only search that returns a stuck
-    path; the level chain only proves that there is none.
-
-    The path is a list with an on-path flag per vertex and one
-    neighbour iterator per depth.  The n-path ``path + [w]`` is stuck
-    iff every neighbour of w is on the path and is not its tail.
-    """
     on_path = bytearray(len(adj))
     count = 0
-    for s in starts:
+    for i, s in enumerate(starts):
+        if i == 1 and not _may_be_stuck(space, n, budget):
+            return None
         path = [s]
         on_path[s] = 1
         nexts = [iter(adj[s])]
@@ -859,11 +834,26 @@ def _search_stuck(adj, n, starts, budget):
                     if not on_path[x] or x == s:
                         break
                 else:
-                    return path + [w]
+                    return StuckWitness(path=space.decode(path + [w]),
+                                        anchor=anchor)
             else:
                 nexts.pop()
                 on_path[path.pop()] = 0
     return None
+
+
+def _may_be_stuck(space, n, budget):
+    """Whether level n of the chain has an empty block, or the budget
+    refuses the chain.  A stuck n-path is a sink of the n-transfer
+    digraph, so the block of its suffix is empty; False thus proves that
+    no n-path is stuck.  Building levels 1..n is charged their states,
+    exactly the extensions of an exhaustive search."""
+    try:
+        sizes = _grow(space, n, budget)._sizes
+    except BudgetError:
+        return True
+    return bool(_matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
+                         len(sizes)))
 
 
 def _bfs_distances(space, source):

@@ -184,6 +184,16 @@ def test_vertex_types_and_edge_classes():
     assert {tetra.classify_edge(e) for e in tetra.rs.edges} == {"weak"}
 
 
+def test_unknown_edges_and_faces_are_refused():
+    top = topology(tetrahedron())
+    with pytest.raises(StructureError, match="^unknown edge 'nope'$"):
+        top.classify_edge("nope")
+    for f in (top.num_faces, -1):
+        with pytest.raises(StructureError,
+                           match="^unknown face index %d$" % f):
+            top.face_class(f)
+
+
 def test_trace_is_deterministic():
     a, b = trace_faces(hex_torus(4, 5)), trace_faces(hex_torus(4, 5))
     assert a == b
@@ -349,3 +359,10 @@ def test_equality_and_repr():
     assert hex_torus(3, 3) == hex_torus(3, 3)
     assert hex_torus(3, 3) != hex_torus(3, 4)
     assert "RotationSystem" in repr(hex_torus(3, 3))
+
+
+def test_equality_with_another_type_is_false():
+    rs = hex_torus(3, 3)
+    assert (rs == object()) is False
+    assert (rs != "x") is True
+    assert rs.__eq__(object()) is NotImplemented

@@ -15,9 +15,8 @@ from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      PathState, StuckWitness,
-                                     TransferDigraph, _bfs_distances,
-                                     _reach, _sources, _Space,
-                                     _tail_moves, _tarjan,
+                                     TransferDigraph, _reach, _sources,
+                                     _Space, _tail_moves, _tarjan,
                                      build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      is_n_transferable, n_verdict, steps,
@@ -613,7 +612,8 @@ def test_wide_levels_answer_alike(monkeypatch):
              (truncate(tetrahedron()), 11, 7), (k7_torus(), 6, 4)]
 
     def refused(graph, n, anchor):
-        # a budget one short of the chain: the search reruns from scratch
+        # a budget one short of the chain: the search goes on past the
+        # first start with the count it left there
         chain = build_transfer_digraph(graph, n)._levels()
         try:
             return find_stuck(graph, n, anchor,
@@ -797,8 +797,11 @@ def test_stuck_search_matches_the_copying_oracle():
     found = []
     for name, graph, lengths, anchor in cases:
         space = _Space(graph)
-        dist = _bfs_distances(space, space.index[anchor])
-        anchored = sorted(range(len(space.names)), key=lambda i: (dist[i], i))
+        dist = networkx.single_source_shortest_path_length(
+            networkx.from_dict_of_lists(graph), anchor)
+        # nearest the anchor first, unreachable vertices last, by index
+        anchored = sorted(range(len(space.names)), key=lambda i: (
+            dist.get(space.names[i], len(space.names)), i))
         for n in lengths:
             for order, key in ((None, None), (anchored, anchor)):
                 path = _first_stuck_by_copies(space, n, order)
@@ -837,13 +840,13 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
         monkeypatch):
     """Past the first start ``find_stuck`` builds the level chain,
     charged every state of levels 1..n, and asks it only whether a block
-    is empty; when one is, or when the budget refuses the chain, the
-    depth-first search runs again over all starts, the first one
-    included.  Where only a later start has a stuck path, a budget of
-    exactly the extensions a depth-first search makes up to it returns
-    the default witness, and one less raises with that count.  The
-    cases take every route: a witness from the first start, a chain with
-    no empty block, an empty block then the search, and a refused
+    is empty; when one is, or when the budget refuses the chain, the one
+    depth-first search goes on with the second start, its count where
+    the first start left it.  Where only a later start has a stuck path,
+    a budget of exactly the extensions a depth-first search makes up to
+    it returns the default witness, and one less raises with that count.
+    The cases take every route: a witness from the first start, a chain
+    with no empty block, an empty block then the search, and a refused
     chain."""
     module = sys.modules[transferability.__module__]
     grow, matches = module._grow, module._matches
