@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .curvature_light import DEGREE_CAP, scan_theorem2
+from .curvature_light import DEGREE_CAP, VERTEX_FACTOR, scan_theorem2
 from .errors import StructureError
 from .validity import check_polyhedral
 
@@ -63,8 +63,10 @@ _A1_AMOUNT = {3: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 5)}
 _A2_AMOUNT = Fraction(1, 10)
 # Rule A4: refund per incident (3,3,4,k)- and (3,3,5,k)-vertex.
 _A4_AMOUNT = {4: Fraction(1, 2), 5: Fraction(1, 5)}
-# Lemma 2: the floor on every final vertex charge.
-_LEMMA2_FLOOR = Fraction(1, 21)
+# Lemma 2: the floor on every final vertex charge, 1/21.  The charges
+# sum to -6*chi, so V/21 <= -6*chi, i.e. V <= 126|chi|: the size
+# hypothesis' factor is the same number.
+_LEMMA2_FLOOR = Fraction(6, VERTEX_FACTOR)
 # Lemma 1: the floor on the after-A charge of a face of degree 7..12.
 _LEMMA1_BOUND = (Fraction(2, 5), Fraction(6, 5), Fraction(1),
                  Fraction(3, 2), Fraction(5, 2), Fraction(3))
@@ -278,7 +280,7 @@ def lemma1_bound(degree):
         return _ZERO
     if degree <= 12:
         return _LEMMA1_BOUND[degree - 7]
-    return Fraction(degree, 21)
+    return degree * _LEMMA2_FLOOR
 
 
 class LemmaAudit(NamedTuple):

@@ -54,9 +54,9 @@ and parallel edges are meaningless here, so only simple graphs apply.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -129,7 +129,11 @@ class PathState(_PathState):
 
 
 class _Space:
-    """Graph recoded on integer vertices 0..V-1 in sorted id order."""
+    """Graph recoded on integer vertices 0..V-1 in sorted id order.
+
+    ``typecode`` is the one choice of how wide a level array's items
+    are, made when ``_grow`` builds the arrays; every byte search reads
+    the width off the array it searches."""
 
     def __init__(self, graph):
         self.names = tuple(sorted(graph))
@@ -157,12 +161,6 @@ class _Space:
         # level arrays hold vertex indices as 16-bit ints when they fit,
         # else as 32-bit ints
         self.typecode = "H" if len(self.names) <= 1 << 16 else "i"
-
-    @functools.cached_property
-    def items(self):
-        """Each vertex index's bytes as one item of a level array."""
-        return [array(self.typecode, [v]).tobytes()
-                for v in range(len(self.adj))]
 
     def decode(self, state):
         return PathState(tuple(map(self.names.__getitem__, state)))
@@ -616,7 +614,7 @@ def _grow(space, n, budget, digraph=None):
             pieces = [(k, k + 1)
                       for k in itertools.chain.from_iterable(adj)]
         else:
-            bounds, drops = digraph._bounds, _tail_moves(adj, digraph)
+            bounds, drops = digraph._bounds, _tail_moves(digraph)
             first, heads = digraph._first, digraph._head
             run_starts, run_offsets = digraph._runs
             sizes = array(code)
@@ -662,29 +660,30 @@ def _grow(space, n, budget, digraph=None):
     return digraph
 
 
-def _tail_moves(adj, level):
+def _tail_moves(level):
     """Ascending, the states of ``level`` with a move onto their own
     tail: those whose tail neighbours their head, found by a byte search
-    of each tail run's heads for the item bytes of each neighbour, read
-    off the space's table.  Empty tail runs are skipped."""
-    bounds, items = level._bounds, level._space.items
-    raw = level._head.tobytes()
+    of each tail run's heads for each neighbour of the tail (``_matches``
+    on the raw bytes of ``_head``).  Empty tail runs are skipped."""
+    head, bounds = level._head, level._bounds
+    raw, size = head.tobytes(), head.itemsize
     drops = []
-    for row, lo, hi in zip(adj, bounds, bounds[1:]):
+    for row, lo, hi in zip(level._space.adj, bounds, bounds[1:]):
         if lo < hi:
             found = []
             for u in row:
-                found += _matches(raw, items[u], lo, hi)
+                found += _matches(raw, size, u, lo, hi)
             drops += sorted(found)
     return drops
 
 
-def _matches(raw, item, lo, hi):
-    """The indices j in lo..hi - 1, ascending, of the items of an array
-    with raw bytes ``raw`` that equal the item bytes ``item``: each is
-    found by ``bytes.find``, skipping matches that start inside an
-    item, so no item is compared as a Python int."""
-    size = len(item)
+def _matches(raw, size, value, lo, hi):
+    """The indices j in lo..hi - 1, ascending, of the items equal to
+    ``value`` in an array of ``size``-byte items with raw bytes ``raw``:
+    each is found by ``bytes.find`` of the value's item bytes, skipping
+    matches that start inside an item, so no item is compared as a
+    Python int."""
+    item = value.to_bytes(size, sys.byteorder)
     found = []
     end = hi * size
     j = raw.find(item, lo * size, end)
@@ -852,8 +851,7 @@ def _may_be_stuck(space, n, budget):
         sizes = _grow(space, n, budget)._sizes
     except BudgetError:
         return True
-    return bool(_matches(sizes.tobytes(), bytes(sizes.itemsize), 0,
-                         len(sizes)))
+    return bool(_matches(sizes.tobytes(), sizes.itemsize, 0, 0, len(sizes)))
 
 
 def _bfs_distances(space, source):

@@ -13,8 +13,9 @@ RuntimeError.  3-connectivity is decided on a single DFS tree,
 O((V + E) log V), which also marks the vertices that lie in some
 separating pair.  A graph that fails names the first separating pair in
 sorted order by the same search on G - u for the first marked u, and a
-pair that no deletion confirms raises RuntimeError too; only a graph
-with a cut vertex tries the vertices in turn until one confirms.
+pair that no deletion confirms raises RuntimeError too.  A graph with a
+cut vertex has its first pair at vertex 0 or vertex 1, so it tries those
+two.
 
 Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
@@ -140,8 +141,12 @@ def check_3_connected(graph):
     separating pair (``_separating_vertices``), O((V + E) log V) in
     all.  A graph that fails names the witness by the same search on
     G - u for the first marked u, and a second one when G - u splits
-    (``_first_separating_pair``); a graph with a cut vertex has every
-    vertex as a candidate.
+    (``_first_separating_pair``).  A graph with a cut vertex c has a
+    separating pair at vertex 0 or, failing that, at vertex 1, so those
+    two are its candidates: {0, c} separates unless 0 hangs off c alone,
+    and then {1, c} does, or {1, w} for any w >= 2 when 1 = c, each
+    leaving 0 isolated (with c = 0, G - 0 has at least three vertices
+    in at least two pieces, so some w keeps it split).
     """
     names = sorted(graph)
     num = len(names)
@@ -161,7 +166,7 @@ def check_3_connected(graph):
     if len(tree[0]) < num:
         return False, ()
     if _cut_vertices(*tree):
-        candidates = range(num - 1)
+        candidates = (0, 1)
     else:
         candidates = _separating_vertices(rows, pre, *tree)
     if candidates:
@@ -371,8 +376,8 @@ def _first_separating_pair(names, adj, candidates):
     more: {u, w} separates unless exactly two pieces are left and w is
     one of them alone.  With the exact candidates of
     ``_separating_vertices`` the first u confirms, so this costs
-    O(V + E); a graph with a cut vertex passes every vertex but the
-    last.
+    O(V + E); a graph with a cut vertex passes 0 and 1, and the second
+    confirms if the first does not.
     """
     num = len(adj)
     for u in candidates:

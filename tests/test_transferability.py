@@ -117,16 +117,23 @@ def test_c5_orientation_components():
 
 def test_scc_summary_against_networkx():
     """Component count and sizes agree with networkx on the move digraph
-    built from ``steps``.  On C300 Tarjan's call stack runs 300 to 401
-    frames deep over 600 states."""
+    built from ``steps``, at n <= 4 and, on every connected graph of at
+    most six vertices, at every n < V, which reaches every small shape
+    of trimming, both forward searches and Tarjan.  On C300 Tarjan's
+    call stack runs 300 to 401 frames deep over 600 states."""
     cases = [("K4", complete_graph(4)), ("C5", cycle_graph(5)),
              ("petersen", petersen_graph()), ("C300", cycle_graph(300))]
     rng = seeded_rng(505)  # the random graphs of criterion 6
     for trial in range(10):
         nv = rng.randint(4, 10)
         cases.append(("random-%d" % trial, random_connected_graph(rng, nv)))
-    for name, graph in cases:
-        for n in range(1, 5):
+    cases = [(name, graph, range(1, 5)) for name, graph in cases]
+    for i, atlas in enumerate(networkx.graph_atlas_g()):
+        if len(atlas) <= 6 and atlas and networkx.is_connected(atlas):
+            cases.append(("atlas-%d" % i, networkx.to_dict_of_lists(atlas),
+                          range(1, len(atlas))))
+    for name, graph, lengths in cases:
+        for n in lengths:
             moves = networkx.DiGraph()
             for s in enumerate_paths(graph, n):
                 moves.add_node(s)
@@ -901,28 +908,34 @@ def test_tail_moves_match_the_index_scan():
     """``_tail_moves`` finds the moves onto a tail by a byte search of
     the heads' raw bytes and equals the ``array.index`` scan: on levels
     1..13 of both cubic maps, on 32-bit heads past 65 536 vertices, and
-    on a level where heads 256 then 1 in tail run 0 hold the bytes of
-    257, a neighbour of vertex 0, across two 16-bit items."""
-    edges = ((0, 2), (0, 3), (0, 256), (0, 257), (2, 256), (1, 3))
-    graph = {v: [] for v in range(300)}
-    for u, w in edges:
-        graph[u].append(w)
-        graph[w].append(u)
-    level = build_transfer_digraph(graph, 2)
-    raw = level._head.tobytes()
-    assert level._head[:3] == array("H", [256, 1, 2])
-    assert raw.find(array("H", [257]).tobytes(), 0, 6) == 1
-    adj = level._space.adj
-    assert (level._bounds.tolist(), _tail_moves(adj, level)) == \
-        tail_moves_by_index(adj, level)
-    assert _tail_moves(adj, level)[:2] == [0, 2]
-    levels = [build_transfer_digraph(path_graph(70000), 1)]
-    assert levels[0]._head.typecode == "i"
+    on two levels where tail run 0 holds the bytes of 257, a neighbour
+    of vertex 0, across two items: heads 256 then 1 from byte 1 of
+    16-bit items, and heads 65792 then 66048 from byte 5 of 32-bit items
+    (66 100 vertices)."""
+    straddles = [
+        (300, ((0, 2), (0, 3), (0, 256), (0, 257), (2, 256), (1, 3)),
+         array("H", [256, 1, 2]), 1, [0, 2]),
+        (66100, ((0, 257), (0, 65792), (0, 66048), (1, 257), (257, 65792),
+                 (257, 66048)), array("i", [1, 65792, 66048]), 5, [1, 2])]
+    levels = []
+    for size, edges, heads, at, drops in straddles:
+        graph = {v: [] for v in range(size)}
+        for u, w in edges:
+            graph[u].append(w)
+            graph[w].append(u)
+        level = build_transfer_digraph(graph, 2)
+        assert level._head[:3] == heads
+        assert level._head.tobytes().find(array(heads.typecode, [257])
+                                          .tobytes(), 0, 12) == at
+        assert _tail_moves(level)[:2] == drops
+        levels.append(level)
+    levels.append(build_transfer_digraph(path_graph(70000), 1))
+    assert levels[-1]._head.typecode == "i"
     for rs in (truncate(hex_torus(3, 3)), truncate(hex_klein(3, 3))):
         levels += build_transfer_digraph(rs.adjacency(), 13)._levels()
     for level in levels:
         adj = level._space.adj
-        assert (level._bounds.tolist(), _tail_moves(adj, level)) == \
+        assert (level._bounds.tolist(), _tail_moves(level)) == \
             tail_moves_by_index(adj, level)
 
 

@@ -329,6 +329,33 @@ def test_witness_is_named_from_the_one_tree(monkeypatch, size):
         assert len(calls) <= 3, (edge, len(calls))
 
 
+def test_cut_vertex_names_its_pair_at_vertex_0_or_1(monkeypatch):
+    """A graph with a cut vertex has its first separating pair at vertex
+    0 or vertex 1, so only those two are tried: hex_torus(30, 30) plus
+    one pendant vertex, hung near the first vertex or far from it and
+    named to sort last or first, gives the pair in at most four
+    ``_dfs`` runs."""
+    calls = []
+    search = polymap.validity._dfs
+
+    def counted(adj, root, pre):
+        calls.append(root)
+        return search(adj, root, pre)
+    monkeypatch.setattr(polymap.validity, "_dfs", counted)
+    host = hex_torus(30, 30).adjacency()
+    cases = [("z", "a0.0", ("a0.0", "a0.1")),
+             ("z", "b29.29", ("a0.0", "b29.29")),
+             ("a", "b29.29", ("a0.0", "b29.29")),
+             ("a", "a0.0", ("a0.0", "a0.1"))]
+    for pendant, cut, pair in cases:
+        graph = {v: list(ws) for v, ws in host.items()}
+        graph[pendant] = [cut]
+        graph[cut].append(pendant)
+        calls.clear()
+        assert check_3_connected(graph) == (False, pair), (pendant, cut)
+        assert len(calls) <= 4, (pendant, cut, len(calls))
+
+
 def _theta_graph(lengths):
     """Hubs x and y joined by one path per entry of ``lengths``, through
     that many inner vertices."""
