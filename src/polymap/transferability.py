@@ -78,7 +78,6 @@ __all__ = [
     "enumerate_paths",
     "build_transfer_digraph",
     "n_verdict",
-    "is_n_transferable",
     "find_stuck",
 ]
 
@@ -221,21 +220,21 @@ class TransferDigraph:
     The states whose first n vertices are the (n - 1)-path b form the
     block ``range(_first[b], _first[b + 1])``; ``_sizes``, the block
     sizes in the vertex typecode, is ``_first``'s differences, kept
-    because ``_grow`` gathers it by slicing and ``find_stuck``
-    byte-searches it, where deriving it would cost a Python step per
-    state.  A state's suffix is the index of its p[1:] among the
-    (n - 1)-paths, so ``_first`` and the suffixes are the offset/target
-    arrays of H: a node per (n - 1)-path, an arc per state.  ``_runs``
-    holds the maximal runs of consecutive states with consecutive
-    suffixes as two arrays, each run's first suffix and its first state
-    (then the state count): one bisection of the latter gives a state's
-    suffix (``_suffixes``), and the moves out of a run are one range of
-    states.  The tails are sorted, and ``_bounds`` holds the V + 1
-    bounds of their runs: tail run v is ``range(_bounds[v],
-    _bounds[v + 1])``.  H is the transfer digraph of the (n - 1)-paths
-    less their moves onto their own tails, which close an n-cycle;
-    ``_dropped`` counts those moves (None for the empty digraph of
-    n >= V, which is built from no level).
+    because ``_grow`` gathers it by slicing, ``_may_be_stuck``
+    byte-searches it and ``_labels`` repeats labels by it, where
+    deriving it would cost a Python step per state.  A state's suffix
+    is the index of its p[1:] among the (n - 1)-paths, so ``_first``
+    and the suffixes are the offset/target arrays of H: a node per
+    (n - 1)-path, an arc per state.  ``_runs`` holds the maximal runs of
+    consecutive states with consecutive suffixes as two arrays, each
+    run's first suffix and its first state (then the state count): one
+    bisection of the latter gives a state's suffix (``_suffixes``), and
+    the moves out of a run are one range of states.  The tails are
+    sorted, and ``_bounds`` holds the V + 1 bounds of their runs: tail
+    run v is ``range(_bounds[v], _bounds[v + 1])``.  H is the transfer
+    digraph of the (n - 1)-paths less their moves onto their own tails,
+    which close an n-cycle; ``_dropped`` counts those moves (None for
+    the empty digraph of n >= V, which is built from no level).
     """
 
     def __init__(self, space, n, prev, head, first, dropped, sizes, runs,
@@ -354,7 +353,8 @@ class TransferDigraph:
         rev(x) supplies the other half, that rev(x) reaches every node,
         and then any u reaches any v through rev(x).  Whether x reaching
         the core ever leaves rev(x) short of it is open; until a proof
-        that it cannot, both searches run.
+        that it cannot, both searches run.  At n = 1 reversal fixes x, so
+        one search from x settles both halves and runs once.
         """
         first, runs = self._first, self._runs
         sources = _sources(first, runs)
@@ -376,8 +376,8 @@ class TransferDigraph:
         cut += sum(trim.count(0, r.start, r.stop) for b in sources
                    for r in _suffixes(runs, first[b], first[b + 1]))
         x, core, states = trim.find(0), trim.count(0), self.state_count
-        if x < 0 or _reach(first, runs, trim, x) == core == \
-                _reach(first, runs, trim, rev([x])[0]):
+        if x < 0 or all(_reach(first, runs, trim, y) == core
+                        for y in {x, *rev([x])}):
             # with no core every arc has a trimmed end: cut == states
             sizes = (states - cut,) * (x >= 0) + (1,) * cut
         else:
@@ -707,11 +707,6 @@ class NPathVerdict(NamedTuple):
 def n_verdict(graph, n, budget=DEFAULT_BUDGET):
     """Whether the graph is n-transferable, with the counts behind it."""
     return build_transfer_digraph(graph, n, budget)._verdict()
-
-
-def is_n_transferable(graph, n, budget=DEFAULT_BUDGET):
-    """True iff the graph has an n-path and all n-paths reach each other."""
-    return n_verdict(graph, n, budget).transferable
 
 
 class TransferabilityResult(NamedTuple):

@@ -17,8 +17,7 @@ from polymap.discharging import (TransferLedger, apply_rule_a1, apply_rule_a2,
 from polymap.generators import hex_torus, tetrahedron, truncate
 from polymap.surface_map import topology
 from polymap.transferability import (enumerate_paths, find_stuck,
-                                     is_n_transferable, steps,
-                                     transferability)
+                                     n_verdict, steps, transferability)
 from polymap.validity import check_polyhedral
 
 from conftest import (complete_graph, cycle_graph, full_corpus, perturb,
@@ -178,7 +177,8 @@ def test_criterion_6_oracle_equivalence():
         for n in range(1, len(graph)):
             if len(enumerate_paths(graph, n)) > 1500:
                 break  # oracle cost is quadratic in the state count
-            assert is_n_transferable(graph, n) == oracle(graph, n), (name, n)
+            assert n_verdict(graph, n).transferable == oracle(graph, n), \
+                (name, n)
             checked += 1
     assert checked >= 40  # the cap must not hollow the criterion out
 

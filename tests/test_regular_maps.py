@@ -8,7 +8,9 @@ infinity.  With x: z -> z + 1 and y: z -> -1/z, rotating by x gives
 {3,7} (V = 24) and rotating by xy gives {7,3} (V = 56); both lie on the
 genus-3 surface, chi = -4, so V <= 126|chi| and the theorem's size
 hypothesis fails.  Their Petrie duals (every signature negated) and the
-truncations of those are the non-orientable chi < 0 case.  The maps
+truncations of those are the non-orientable chi < 0 case.  Truncating
+two and three times gives V = 504 and 1 512; tr^3 of {7,3}, {3,7} and
+P{7,3} meet the hypothesis and confirm the theorem.  The maps
 stay out of ``full_corpus``, whose members seed other tests' random
 draws.
 """
@@ -22,7 +24,7 @@ from polymap.discharging import initial_charges, run_discharge
 from polymap.generators import truncate
 from polymap.mapfile import parse_map, serialize_map
 from polymap.surface_map import topology
-from polymap.transferability import find_stuck, transferability
+from polymap.transferability import find_stuck, steps, transferability
 from polymap.validity import check_polyhedral
 
 _Q = 7
@@ -160,6 +162,72 @@ def test_petrie_maps(name):
             audit.light_count, audit.contradiction) == ((), (), 0, False)
     text = serialize_map(rs)
     assert parse_map(text) == rs and serialize_map(parse_map(text)) == text
+
+
+def _towers():
+    """tr^2 and tr^3 of Klein's maps and of their Petrie duals, each
+    truncating the one before it."""
+    maps = {}
+    for name, rs in (*_MAPS.items(), *_PETRIE.items()):
+        if name.startswith("tr"):
+            maps["tr2" + name[2:]] = rs = truncate(rs)
+            maps["tr3" + name[2:]] = truncate(rs)
+    return maps
+
+
+_TOWERS = _towers()
+
+
+# V, E, F, chi, orientable, light vertices, Lemma 1 violations, verdict
+_TOWER_PINS = {
+    "tr2{7,3}": ((504, 756, 248), -4, True, 336, 168, "hypotheses-not-met"),
+    "tr3{7,3}": ((1512, 2268, 752), -4, True, 1344, 504, "theorem-confirmed"),
+    "tr2{3,7}": ((504, 756, 248), -4, True, 504, 168, "hypotheses-not-met"),
+    "tr3{3,7}": ((1512, 2268, 752), -4, True, 1008, 504, "theorem-confirmed"),
+    "tr2P{7,3}": ((504, 756, 245), -7, False, 336, 168,
+                  "hypotheses-not-met"),
+    "tr3P{7,3}": ((1512, 2268, 749), -7, False, 1344, 504,
+                  "theorem-confirmed"),
+    "tr2P{3,7}": ((504, 756, 213), -39, False, 0, 0, "hypotheses-not-met"),
+    "tr3P{3,7}": ((1512, 2268, 717), -39, False, 1008, 504,
+                  "hypotheses-not-met"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOWER_PINS))
+def test_truncation_towers(name):
+    """The theorem's chi < 0 case at its own hypothesis: the tr^3 maps
+    have V = 1 512 > 126|chi| for chi = -4 and -7, and answer
+    theorem-confirmed; tr^2 (V = 504 <= 126|chi|) and tr^3 P{3,7}
+    (126 * 39 = 4 914) do not meet it.  Every map is polyhedral with
+    sum of Phi equal to chi, the charge, -6 chi, is conserved and the
+    ledger replays exactly, with no Lemma 2 violation and no
+    contradiction.  Where there are light vertices a stuck 13-path lies
+    next to the first of them: 14 vertices and no move."""
+    rs = _TOWERS[name]
+    counts, chi, orientable, light, lemma1, verdict = _TOWER_PINS[name]
+    top = topology(rs)
+    assert (top.num_vertices, top.num_edges, top.num_faces) == counts
+    assert (top.euler_characteristic, top.orientable) == (chi, orientable)
+    report = check_polyhedral(top)
+    assert report.polyhedral
+    assert gauss_bonnet_sum(top) == chi
+    scan = scan_theorem2(top, report)
+    assert (len(scan.light), scan.verdict) == (light, verdict)
+
+    state, ledger, audit = run_discharge(top)
+    assert state.total() == -6 * chi
+    replayed = ledger.replay(initial_charges(top))
+    assert replayed.vertex_charge == state.vertex_charge
+    assert replayed.face_charge == state.face_charge
+    assert (len(audit.lemma1_violations), audit.lemma2_violations,
+            audit.light_count, audit.contradiction) == \
+        (lemma1, (), light, False)
+    if scan.light:
+        graph = rs.adjacency()
+        witness = find_stuck(graph, 13, anchor=scan.light[0][0])
+        assert len(witness.path.vertices) == 14
+        assert steps(graph, witness.path) == []
 
 
 # -- random regular maps with chi < 0 from PSL(2, q) ---------------------

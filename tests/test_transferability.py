@@ -19,8 +19,7 @@ from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
                                      _Space, _tail_moves, _tarjan,
                                      build_transfer_digraph,
                                      enumerate_paths, find_stuck,
-                                     is_n_transferable, n_verdict, steps,
-                                     transferability)
+                                     n_verdict, steps, transferability)
 
 from conftest import (block_digraph_by_dfs, complete_graph, cube_graph,
                       cycle_graph, grid_graph, iter_states_by_copies,
@@ -103,16 +102,16 @@ def test_k4_digraph_structure():
     summary = dg.scc_summary()
     assert summary.sizes == (4,) * 6
     assert summary.count == 6
-    assert is_n_transferable(complete_graph(4), 3) is False
+    assert n_verdict(complete_graph(4), 3).transferable is False
 
 
 def test_c5_orientation_components():
     dg = build_transfer_digraph(cycle_graph(5), 2)
     assert dg.scc_summary().sizes == (5, 5)
     # each orientation slides around the cycle but cannot reverse
-    assert is_n_transferable(cycle_graph(5), 2) is False
+    assert n_verdict(cycle_graph(5), 2).transferable is False
     # 1-paths can reverse in place, so the digraph is strongly connected
-    assert is_n_transferable(cycle_graph(5), 1) is True
+    assert n_verdict(cycle_graph(5), 1).transferable is True
 
 
 def test_scc_summary_against_networkx():
@@ -508,6 +507,28 @@ def test_trimming_and_reach_match_the_per_state_oracle():
     assert empty > 0 and identity > 0 and covered > 0 and short > 0
 
 
+def test_scc_summary_searches_each_distinct_start_once(monkeypatch):
+    """At n = 1 reversal fixes every node of H, so x and rev(x) are one
+    start and the core is searched once, on K4 and on C5; at n = 2 on
+    K4, whose core is one component, they are two nodes and both are
+    searched."""
+    starts = []
+
+    def counted(first, runs, trim, x):
+        starts.append(x)
+        return _reach(first, runs, trim, x)
+
+    monkeypatch.setattr(sys.modules[transferability.__module__], "_reach",
+                        counted)
+    for graph, n, searches in ((complete_graph(4), 1, 1),
+                               (cycle_graph(5), 1, 1),
+                               (complete_graph(4), 2, 2)):
+        starts.clear()
+        summary = build_transfer_digraph(graph, n).scc_summary()
+        assert summary.count == 1, (graph, n)
+        assert len(set(starts)) == len(starts) == searches, (graph, n)
+
+
 def test_scc_summary_peaks_little_above_the_chain():
     """At n = 13 on truncate(hex_torus(3,3)) the chain holds less than
     8 bytes per state of levels 1..13 (374 814 states): per state a
@@ -749,7 +770,7 @@ def test_random_graphs_against_oracle():
     for trial in range(12):
         graph = random_connected_graph(rng, rng.randint(4, 8))
         for n in range(1, min(5, len(graph))):
-            fast = is_n_transferable(graph, n)
+            fast = n_verdict(graph, n).transferable
             slow = naive_is_transferable(graph, n)
             assert fast == slow, (trial, n, graph)
 
