@@ -11,8 +11,6 @@ stderr, and 141 (128 + SIGPIPE) when stdout closes before the output
 is written, as in ``polymap export-digraph FILE --n 10 | head -1``.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os
@@ -76,6 +74,7 @@ def _build_parser():
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
+    report.add_argument("file", help="map file, or - for stdin")
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
                         help="cap on path extensions in the search")
@@ -87,22 +86,18 @@ def _build_parser():
 
     p = sub.add_parser("analyze", parents=[report],
                        help="topology, validity, curvature and light vertices")
-    p.add_argument("file", help="map file, or - for stdin")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("check", parents=[report],
                        help="validity only; exit 0 iff polyhedral")
-    p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("discharge", parents=[report],
                        help="run the discharging rules with ledger and audits")
-    p.add_argument("file")
     p.set_defaults(handler=_cmd_discharge)
 
     p = sub.add_parser("transfer", parents=[report, search],
                        help="path transferability of the underlying graph")
-    p.add_argument("file")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", type=int, help="test one path length")
     mode.add_argument("--sweep", action="store_true",
@@ -113,7 +108,6 @@ def _build_parser():
 
     p = sub.add_parser("stuck", parents=[report, search],
                        help="search for a path with no legal move")
-    p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--anchor", default=None,
                    help="vertex to search around first")
@@ -130,7 +124,6 @@ def _build_parser():
 
     p = sub.add_parser("export-digraph", parents=[report, search],
                        help="emit the transfer digraph in DOT format")
-    p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_export)
 

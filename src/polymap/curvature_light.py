@@ -19,8 +19,6 @@ and reports whether a light vertex exists, as the classification
 guarantees it must.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from fractions import Fraction

@@ -27,8 +27,6 @@ the bounds the counterexample analysis needs; on ordinary maps (ones
 with light vertices) failed bounds are informational only.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
@@ -180,8 +178,8 @@ class TransferLedger(_TransferLedger):
 def initial_charges(top):
     """c(v) = 2 deg(v) - 6 and c(face) = deg(face) - 6, stage initial."""
     return ChargeState(
-        vertex_charge={v: Fraction(2 * d - 6)
-                       for v, d in top.vertex_degrees.items()},
+        vertex_charge={v: Fraction(2 * len(top.vertex_types[v]) - 6)
+                       for v in top.rs.vertices},
         face_charge={f: Fraction(d - 6)
                      for f, d in enumerate(top.face_degrees)},
     )
@@ -209,23 +207,23 @@ def _transfer(state, ledger, rule, moves):
 
 def apply_rule_a1(state, top, ledger):
     """Vertices of degree >= 4 pay 1, 1/2, 1/5 per incident 3-, 4-, 5-face."""
-    deg, fdeg = top.vertex_degrees, top.face_degrees
+    types, fdeg = top.vertex_types, top.face_degrees
     note = cache("deg(v)=%d deg(a)=%d".__mod__)
     return _transfer(state, ledger, "A1", (
-        (("v", v), ("f", f), _A1_AMOUNT[fdeg[f]], note((deg[v], fdeg[f])))
-        for v in top.rs.vertices if deg[v] >= 4
+        (("v", v), ("f", f), _A1_AMOUNT[fdeg[f]], note((deg, fdeg[f])))
+        for v in top.rs.vertices if (deg := len(types[v])) >= 4
         for f in top.vertex_faces[v] if fdeg[f] in _A1_AMOUNT))
 
 
 def apply_rule_a2(state, top, ledger):
     """Extra 1/10 to each 3-face of a vertex (deg >= 4) that also touches
     at least two 6-faces."""
-    deg, types = top.vertex_degrees, top.vertex_types
+    types = top.vertex_types
     note = cache("deg(v)=%d three-face with two six-faces".__mod__)
     return _transfer(state, ledger, "A2", (
-        (("v", v), ("f", f), _A2_AMOUNT, note(deg[v]))
+        (("v", v), ("f", f), _A2_AMOUNT, note(len(types[v])))
         for v in top.rs.vertices
-        if deg[v] >= 4 and types[v].count(6) >= 2 and 3 in types[v]
+        if len(types[v]) >= 4 and types[v].count(6) >= 2 and 3 in types[v]
         for f in top.vertex_faces[v] if top.face_degrees[f] == 3))
 
 

@@ -12,8 +12,6 @@ column through a reflection, marked by negative signatures on the
 reglued edges.
 """
 
-from __future__ import annotations
-
 from .surface_map import RotationSystem, _escape
 
 __all__ = [

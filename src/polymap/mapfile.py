@@ -32,8 +32,6 @@ inherited edge id escaped the same way, so no two made ids collide.  Ids
 free of ``%`` and the separator are kept as they are.
 """
 
-from __future__ import annotations
-
 import re
 
 from .errors import MapFormatError, StructureError

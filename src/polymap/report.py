@@ -10,8 +10,6 @@ integers.  Building is deterministic, so equal inputs give
 byte-identical reports.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 from fractions import Fraction
@@ -141,7 +139,7 @@ def verdict_row(verdict):
 def stuck_section(witness, n, anchor):
     section = {"n": n, "anchor": anchor, "found": witness is not None}
     if witness is not None:
-        section["path"] = list(witness.path.vertices)
+        section["path"] = list(witness.vertices)
     return section
 
 

@@ -27,8 +27,6 @@ format and the generators only ever produce strings); any hashable,
 sortable identifiers work.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import StructureError
@@ -295,7 +293,6 @@ class MapTopology:
         rs: the underlying rotation system.
         faces: tuple of FacialWalk, in canonical order.
         face_degrees: degree of each face, indexed like ``faces``.
-        vertex_degrees: vertex -> degree.
         euler_characteristic: V - E + F.
         orientable: ``rs.orientable``, from the construction's search.
         vertex_faces: vertex -> tuple of face indices, one per corner in
@@ -360,7 +357,6 @@ class MapTopology:
         self.vertex_types = {
             v: tuple(sorted([degrees[f] for f in faces]))
             for v, faces in vertex_faces.items()}
-        self.vertex_degrees = {v: rs.degree(v) for v in rs.vertices}
         self.euler_characteristic = (
             len(rs.vertices) - len(rs.edges) + len(self.faces))
         self.orientable = rs.orientable
@@ -388,7 +384,7 @@ class MapTopology:
         if e not in self.edge_faces:
             raise StructureError("unknown edge %r" % (e,))
         u, w = self.rs.endpoints(e)
-        three = (self.vertex_degrees[u] == 3) + (self.vertex_degrees[w] == 3)
+        three = (self.rs.degree(u) == 3) + (self.rs.degree(w) == 3)
         return ("normal", "semi_weak", "weak")[three]
 
     def face_class(self, f):

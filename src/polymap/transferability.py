@@ -52,8 +52,6 @@ e.g. the output of ``RotationSystem.adjacency()``.  Loops are rejected
 and parallel edges are meaningless here, so only simple graphs apply.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 import sys
@@ -73,7 +71,6 @@ __all__ = [
     "SccSummary",
     "NPathVerdict",
     "TransferabilityResult",
-    "StuckWitness",
     "steps",
     "enumerate_paths",
     "build_transfer_digraph",
@@ -765,22 +762,16 @@ def transferability(graph, max_n=None, budget=DEFAULT_BUDGET):
                                  truncated_at=truncated_at)
 
 
-class StuckWitness(NamedTuple):
-    """An n-path with no legal move, plus the search anchor if any."""
-
-    path: PathState
-    anchor: object = None
-
-
 def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
-    """First stuck n-path in search order, or None.
+    """First stuck n-path in search order, as a ``PathState``, or None.
 
     The search order takes the starts in vertex order or, with
     ``anchor`` given, nearest the anchor first, so a path clogged around
     it is found early, and the n-paths from each start in lexicographic
     order.  Every extension, of a prefix or to a full n-path, is
     charged against ``budget``.  A simple n-path needs n + 1 distinct
-    vertices, so for n >= V there is none and no search is run.
+    vertices, so for n >= V there is none: an unknown anchor still
+    raises, but no distance from it is measured and no search is run.
 
     One depth-first search runs over the starts and returns every
     witness.  The path is a list with an on-path flag per vertex and
@@ -797,13 +788,13 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
         raise ValueError("path length must be at least 1")
     space = _Space(graph)
     adj, starts = space.adj, range(len(space.names))
-    if anchor is not None:
-        if anchor not in space.index:
-            raise StructureError("anchor %r is not a vertex" % (anchor,))
-        dist = _bfs_distances(space, space.index[anchor])
-        starts = sorted(starts, key=lambda i: (dist[i], i))
+    if anchor is not None and anchor not in space.index:
+        raise StructureError("anchor %r is not a vertex" % (anchor,))
     if n >= len(space.names):
         return None
+    if anchor is not None:
+        dist = _bfs_distances(space, space.index[anchor])
+        starts = sorted(starts, key=lambda i: (dist[i], i))
     on_path = bytearray(len(adj))
     count = 0
     for i, s in enumerate(starts):
@@ -828,8 +819,7 @@ def find_stuck(graph, n, anchor=None, budget=DEFAULT_BUDGET):
                     if not on_path[x] or x == s:
                         break
                 else:
-                    return StuckWitness(path=space.decode(path + [w]),
-                                        anchor=anchor)
+                    return space.decode(path + [w])
             else:
                 nexts.pop()
                 on_path[path.pop()] = 0

@@ -21,8 +21,6 @@ Witnesses are plain tuples, first element a short tag, so they survive
 report serialisation unchanged.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 

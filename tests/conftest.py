@@ -636,19 +636,19 @@ def discharge_by_moves(top, state, ledger):
     def done():
         stages.append((dict(charges["v"]), dict(charges["f"])))
 
-    deg, fdeg, types = top.vertex_degrees, top.face_degrees, top.vertex_types
+    deg, fdeg, types = top.rs.degree, top.face_degrees, top.vertex_types
     for v in top.rs.vertices:
         for f in top.vertex_faces[v]:
-            if deg[v] >= 4 and fdeg[f] in _A1_BY_MOVE:
+            if deg(v) >= 4 and fdeg[f] in _A1_BY_MOVE:
                 move("A1", ("v", v), ("f", f), _A1_BY_MOVE[fdeg[f]],
-                     "deg(v)=%d deg(a)=%d" % (deg[v], fdeg[f]))
+                     "deg(v)=%d deg(a)=%d" % (deg(v), fdeg[f]))
     done()
     for v in top.rs.vertices:
-        if deg[v] >= 4 and types[v].count(6) >= 2 and 3 in types[v]:
+        if deg(v) >= 4 and types[v].count(6) >= 2 and 3 in types[v]:
             for f in top.vertex_faces[v]:
                 if fdeg[f] == 3:
                     move("A2", ("v", v), ("f", f), F(1, 10),
-                         "deg(v)=%d three-face with two six-faces" % deg[v])
+                         "deg(v)=%d three-face with two six-faces" % deg(v))
     done()
     for e in top.rs.edges:
         f1, f2 = top.edge_faces[e]

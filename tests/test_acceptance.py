@@ -124,11 +124,9 @@ def test_criterion_5_stuck_path_witness():
     anchor = min(graph)
     assert top.vertex_type(anchor) == (3, 12, 12)
     start = time.perf_counter()
-    witness = find_stuck(graph, 13, anchor=anchor)
+    path = find_stuck(graph, 13, anchor=anchor)
     elapsed = time.perf_counter() - start
-    assert witness is not None
-    path = witness.path
-    assert witness.anchor == anchor
+    assert path is not None
     assert anchor in path.vertices
     assert len(path.vertices) == 14
     assert steps(graph, path) == []

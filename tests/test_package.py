@@ -20,7 +20,7 @@ from polymap.discharging import ChargeState, LemmaAudit, TransferLedger
 from polymap.errors import StructureError
 from polymap.surface_map import Dart, FacialWalk
 from polymap.transferability import (NPathVerdict, PathState, SccSummary,
-                                     StuckWitness, TransferabilityResult)
+                                     TransferabilityResult)
 from polymap.validity import ValidityReport
 
 _MODULES = [curvature_light, discharging, errors, generators, mapfile,
@@ -73,7 +73,7 @@ def test_every_submodule_keeps_its_name():
 
 def test_cli_imports_only_the_package():
     """Beyond the standard-library modules it names itself, importing
-    the CLI loads only polymap's modules and ``__future__``: no
+    the CLI loads only polymap's modules: no ``__future__``, no
     ``dataclasses`` and no ``inspect``.  ``-S`` keeps site hooks out of
     the count."""
     env = dict(os.environ, PYTHONPATH=str(_SRC))
@@ -81,7 +81,7 @@ def test_cli_imports_only_the_package():
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
     loaded, dataclasses_loaded, inspect_loaded = json.loads(out)
-    assert [m for m in loaded if m != "__future__" and m != "polymap"
+    assert [m for m in loaded if m != "polymap"
             and not m.startswith("polymap.")] == []
     assert not dataclasses_loaded
     assert not inspect_loaded
@@ -101,8 +101,6 @@ _REPRS = [
      "TransferabilityResult(value=1, per_n=(NPathVerdict(n=1, "
      "transferable=True, reason='', state_count=2, scc_count=1),), "
      "search_bound=1, truncated_at=None)"),
-    (StuckWitness(path=_PATH, anchor="a"),
-     "StuckWitness(path=PathState(vertices=('a', 'b')), anchor='a')"),
     (FacialWalk(darts=(Dart("e", 0),), vertex_sequence=("a",), degree=1),
      "FacialWalk(darts=(Dart(edge='e', end=0),), vertex_sequence=('a',), "
      "degree=1)"),

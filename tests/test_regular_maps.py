@@ -225,9 +225,9 @@ def test_truncation_towers(name):
         (lemma1, (), light, False)
     if scan.light:
         graph = rs.adjacency()
-        witness = find_stuck(graph, 13, anchor=scan.light[0][0])
-        assert len(witness.path.vertices) == 14
-        assert steps(graph, witness.path) == []
+        path = find_stuck(graph, 13, anchor=scan.light[0][0])
+        assert len(path.vertices) == 14
+        assert steps(graph, path) == []
 
 
 # -- random regular maps with chi < 0 from PSL(2, q) ---------------------

@@ -515,6 +515,17 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, hex33_file):
     assert json.loads(out)["validity"]["polyhedral"] is True
 
 
+@pytest.mark.parametrize("command", ["analyze", "check", "discharge",
+                                     "transfer", "stuck", "export-digraph"])
+def test_every_map_command_says_what_file_takes(capsys, monkeypatch,
+                                                 command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert "map file, or - for stdin" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["transfer", "--sweep", "--max-n", "0"],
     ["transfer", "--sweep", "--max-n", "-1"],

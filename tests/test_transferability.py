@@ -14,9 +14,8 @@ from polymap.generators import (hex_klein, hex_torus, k7_torus, tetrahedron,
                                 tri_torus, truncate)
 from polymap.surface_map import topology
 from polymap.transferability import (DEFAULT_BUDGET, NPathVerdict,
-                                     PathState, StuckWitness,
-                                     TransferDigraph, _reach, _sources,
-                                     _Space, _tail_moves, _tarjan,
+                                     PathState, TransferDigraph, _reach,
+                                     _sources, _Space, _tail_moves, _tarjan,
                                      build_transfer_digraph,
                                      enumerate_paths, find_stuck,
                                      n_verdict, steps, transferability)
@@ -788,6 +787,23 @@ def test_stuck_paths():
         find_stuck(complete_graph(4), 0)
 
 
+def test_stuck_search_measures_no_distances_it_never_reads(monkeypatch):
+    """For n >= V there is no n-path, so an anchored search returns None
+    before it computes the anchor's distances."""
+    module = sys.modules[transferability.__module__]
+    bfs, calls = module._bfs_distances, []
+
+    def counted(*args):
+        calls.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(module, "_bfs_distances", counted)
+    assert find_stuck(complete_graph(4), 4, anchor="k0") is None
+    assert calls == []
+    assert find_stuck(complete_graph(4), 3, anchor="k0") is None
+    assert len(calls) == 1
+
+
 def test_longest_path_bound():
     """Without ``max_n`` the sweep stops at the first n with no n-path
     and leaves that row out, so its bound is the longest path length."""
@@ -833,9 +849,7 @@ def test_stuck_search_matches_the_copying_oracle():
         for n in lengths:
             for order, key in ((None, None), (anchored, anchor)):
                 path = _first_stuck_by_copies(space, n, order)
-                expected = None if path is None else \
-                    StuckWitness(path=path, anchor=key)
-                assert find_stuck(graph, n, anchor=key) == expected, \
+                assert find_stuck(graph, n, anchor=key) == path, \
                     (name, n, key)
                 found.append(path is not None)
     assert any(found) and not all(found)
@@ -859,9 +873,9 @@ def test_stuck_search_charges_every_extension():
     assert info.value.count == 64
     witness = find_stuck(th33, 13, anchor=anchor, budget=64)
     assert witness == find_stuck(th33, 13, anchor=anchor)
-    assert witness.path.vertices[0] == anchor
-    assert len(witness.path.vertices) == 14
-    assert steps(th33, witness.path) == []
+    assert witness.vertices[0] == anchor
+    assert len(witness.vertices) == 14
+    assert steps(th33, witness) == []
 
 
 def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
@@ -909,7 +923,7 @@ def test_stuck_search_resumes_where_the_budget_refuses_the_chain(
             witness = route(n, graph)
             path, count = stuck_by_dfs(space, n)
             assert witness == (None if path is None else
-                               StuckWitness(space.decode(path))), (name, n)
+                               space.decode(path)), (name, n)
             if path is None or path[0] == 0:
                 continue
             later += 1
